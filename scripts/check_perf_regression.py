@@ -11,7 +11,10 @@ baseline, but relative advantages survive any machine):
    by ``scale_sharded4`` must retain ``scale_threshold`` x the baseline
    ratio.  Simulated time is deterministic (virtual clock), so this ratio
    is noise-free: a drop means the sharded executor genuinely stopped
-   fanning the shardable prefix out.
+   fanning the shardable prefix out.  Within the current run, the
+   *wall-clock* seconds of ``scale_sharded4`` must also stay within
+   ``SCALE_WALL_RATIO`` x those of ``scale_sequential``: modelling four
+   shards must not cost real time over the sequential run.
 3. **Incremental gate** — the ``incr_delta1pct`` workload's recorded
    ``speedup_cost`` and ``speedup_llm_time`` (simulated, deterministic)
    must each be >= ``incremental_floor`` (default 5x): an incremental
@@ -48,6 +51,11 @@ REQUIRED = ("pipeline_per_record", "pipeline_batched")
 
 #: The workloads the scaling gate needs.
 SCALE_REQUIRED = ("scale_sequential", "scale_sharded4")
+
+#: Ceiling on scale_sharded4 wall seconds over scale_sequential wall
+#: seconds, both from the current run (a within-run ratio, so it holds on
+#: slow machines too).
+SCALE_WALL_RATIO = 1.1
 
 #: The workload the incremental gate needs.
 INCR_REQUIRED = ("incr_delta1pct",)
@@ -197,6 +205,18 @@ def _scaling_gate(args) -> int:
         print("FAIL: sharded execution stopped scaling over sequential")
         return 1
     print("OK: scaling gate passed")
+
+    workloads = current["workloads"]
+    sequential_wall = workloads["scale_sequential"]["wall_seconds"]
+    sharded_wall = workloads["scale_sharded4"]["wall_seconds"]
+    print(f"wall: sequential={sequential_wall:.3f}s  "
+          f"sharded4={sharded_wall:.3f}s  "
+          f"(gate: sharded4 <= {SCALE_WALL_RATIO:.2f}x sequential)")
+    if sharded_wall > SCALE_WALL_RATIO * sequential_wall:
+        print("FAIL: sharded execution costs more wall time than "
+              "sequential")
+        return 1
+    print("OK: scale wall gate passed")
 
     return _incremental_gate(args)
 

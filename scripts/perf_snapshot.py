@@ -24,9 +24,10 @@ Workloads:
   sequential executor (cold call cache, text memos cleared): the per-record
   warm-path baseline for the executor comparisons below.
 * ``pipeline_threaded``     — the same plan on the pipelined executor with
-  4 worker threads, per-record calls (batch_size=1).
+  4 lanes per parallel stage, per-record calls (batch_size=1); the name
+  predates the single-threaded run loop and is kept for the history.
 * ``pipeline_batched``      — the same plan on the pipelined executor with
-  4 worker threads and batched LLM calls (batch_size=8); amortizes
+  4 lanes and batched LLM calls (batch_size=8); amortizes
   prompt-prefix construction and full-prompt tokenization.
 * ``scale_sequential`` / ``scale_sharded{2,4,8}`` / ``scale_async4`` — one
   chosen filter plan over the 10k-doc synthetic scale corpus

@@ -605,15 +605,15 @@ def build_pz_tools(workspace: PipelineWorkspace) -> ToolRegistry:
     ) -> str:
         """Choose how pipelines execute: executor, batch size, shard count.
 
-        The "pipelined" executor runs LLM operators on real worker threads
-        connected by bounded queues and can batch LLM calls, amortizing the
-        fixed per-call overhead; it produces exactly the same records as the
-        other executors, faster.  "sharded" scatters the pipeline over
-        deterministic source shards (and "async" fans it out over asyncio
-        tasks) — pass ``shards`` to pin the parallelism degree, or leave it
-        unset to let the optimizer choose one with the cost model.
-        "parallel" models record-level parallelism on virtual-clock lanes;
-        "sequential" processes one record at a time.
+        Every executor returns exactly the same records; they differ in how
+        they spread simulated LLM time over virtual-clock lanes.
+        "pipelined" runs LLM operators as stages over several lanes and can
+        batch LLM calls, amortizing the fixed per-call overhead.  "sharded"
+        scatters the pipeline over deterministic source shards, one lane
+        each ("async" does the same with per-record calls) — pass
+        ``shards`` to pin the parallelism degree, or leave it unset to let
+        the optimizer choose one with the cost model.  "parallel" charges
+        each record to the least-busy lane; "sequential" uses one lane.
 
         Args:
             executor: "sequential", "parallel", "pipelined", "sharded",

@@ -9,8 +9,7 @@ the total pipeline cost and runtime" — that is what
 from repro.execution.stats import OperatorStats, PlanStats, ExecutionStats
 from repro.execution.executors import SequentialExecutor, ParallelExecutor
 from repro.execution.pipeline import PipelinedExecutor
-from repro.execution.sharded import ShardedExecutor
-from repro.execution.asyncexec import AsyncExecutor
+from repro.execution.sharded import AsyncExecutor, ShardedExecutor
 from repro.execution.execute import Execute, ExecutionEngine
 from repro.execution.incremental import (
     IncrementalReport,

@@ -9,7 +9,6 @@ from typing import List, Optional, Tuple, Union
 
 from repro.core.dataset import Dataset
 from repro.core.records import DataRecord
-from repro.execution.asyncexec import AsyncExecutor
 from repro.execution.executors import ParallelExecutor, SequentialExecutor
 from repro.execution.incremental import (
     IncrementalReport,
@@ -18,7 +17,7 @@ from repro.execution.incremental import (
     diff_manifests,
 )
 from repro.execution.pipeline import PipelinedExecutor
-from repro.execution.sharded import ShardedExecutor
+from repro.execution.sharded import AsyncExecutor, ShardedExecutor
 from repro.execution.stats import ExecutionStats
 from repro.llm.models import ModelRegistry
 from repro.llm.replay import ReplayLog
@@ -41,12 +40,15 @@ class ExecutionEngine:
         models: model registry for both plan space and execution.
         lint: run plan lint before optimizing; error-level findings raise
             :class:`~repro.analysis.LintError` instead of executing.
-        executor: which executor runs the chosen plan — "sequential",
-            "parallel", "pipelined" (real worker threads with bounded
-            queues), "sharded" (scatter/gather over deterministic source
-            shards), or "async" (asyncio fan-out over the client's
-            coroutine API).  ``None`` keeps the historical inference:
-            parallel when ``max_workers > 1``, sequential otherwise.
+        executor: which lane policy runs the chosen plan — "sequential",
+            "parallel" (least-busy virtual-clock lane per record),
+            "pipelined" (operator stages with bundles charged to lanes by
+            sequence number), "sharded" (scatter/gather over
+            deterministic source shards), or "async" (round-robin
+            sharding with per-record calls).  Every policy runs on the
+            same single-threaded run loop and returns the same records.
+            ``None`` keeps the historical inference: parallel when
+            ``max_workers > 1``, sequential otherwise.
         batch_size: LLM-stage batch size for the pipelined/sharded
             executors; the cost model amortizes per-call overhead
             accordingly.  Ignored (beyond costing) by the other executors,
@@ -99,10 +101,7 @@ class ExecutionEngine:
             never charge the budget.
         on_event: progress callback receiving executor event dicts
             (``plan_start`` / ``record_processed`` / ``operator_flush`` /
-            ``plan_end``) as the run advances.  Honored by the
-            sequential/parallel executors; the threaded and scale-out
-            executors ignore it (their progress is recoverable from the
-            trace).
+            ``plan_end``) as the run advances, under every executor.
         sanitize: run the plan under the lock sanitizer
             (:mod:`repro.analysis.sanitizer`): every lock created during
             the run is observed, the cross-thread lock-order graph is
@@ -270,7 +269,7 @@ class ExecutionEngine:
     ) -> Tuple[List[DataRecord], ExecutionStats]:
         if self.sanitize:
             # Open the window before the context exists so the run's own
-            # locks (clock, ledger, meters, stages) are created wrapped.
+            # locks (clock, ledger, metrics) are created wrapped.
             from repro.analysis.sanitizer import sanitize as sanitize_ctx
 
             with sanitize_ctx() as report:
@@ -360,27 +359,19 @@ class ExecutionEngine:
         name = self._executor_name()
         chosen_plan = report.chosen.plan
         plan_shards = max(1, getattr(chosen_plan, "shards", 1))
+        on_event = self.on_event
         if name == "pipelined":
-            executor = PipelinedExecutor(
-                context,
-                max_workers=self.max_workers,
-                batch_size=self.batch_size,
-            )
-        elif name == "sharded":
-            executor = ShardedExecutor(
-                context, shards=plan_shards, batch_size=self.batch_size
-            )
-        elif name == "async":
-            executor = AsyncExecutor(
-                context, fanout=plan_shards, batch_size=self.batch_size
-            )
+            executor = PipelinedExecutor(context, self.max_workers,
+                                         self.batch_size, on_event)
+        elif name in self.SCALE_OUT_EXECUTORS:
+            scale_out = ShardedExecutor if name == "sharded" else AsyncExecutor
+            executor = scale_out(context, plan_shards,
+                                 batch_size=self.batch_size,
+                                 on_event=on_event)
         elif name == "parallel":
-            executor = ParallelExecutor(
-                context, max_workers=self.max_workers,
-                on_event=self.on_event,
-            )
+            executor = ParallelExecutor(context, self.max_workers, on_event)
         else:
-            executor = SequentialExecutor(context, on_event=self.on_event)
+            executor = SequentialExecutor(context, on_event)
         with self._phase("engine.execute"):
             records, plan_stats = executor.execute(chosen_plan)
         if self.telemetry is not None:
@@ -473,7 +464,7 @@ def Execute(
         print(stats.summary())
 
     Pass ``executor="pipelined"`` (optionally with ``batch_size``) to run
-    the plan on the thread-pipelined executor::
+    the plan as operator stages over virtual-clock lanes::
 
         records, stats = Execute(
             dataset, executor="pipelined", max_workers=4, batch_size=8

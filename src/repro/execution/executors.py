@@ -1,20 +1,26 @@
-"""Plan executors.
+"""The executor core: one single-threaded run loop, several lane policies.
 
-Both executors process records depth-first through the operator chain,
-splitting at blocking operators (aggregates, group-by, retrieve).  The
-parallel executor assigns each source record's journey to the least-busy
-virtual-clock lane, modelling ``max_workers`` concurrent LLM calls; lanes
-synchronize at blocking-operator barriers, exactly like a thread pool with a
-stage barrier would.
+Every executor runs the same loop (:meth:`SequentialExecutor.execute`):
+pull a source record, hand it to the executor's *lane policy*, emit
+progress, then let the policy drain and close the operator chain.  The LLM
+runs on a :class:`~repro.llm.clock.VirtualClock`, so parallelism is
+modelled by choosing which clock *lane* each piece of work is charged to;
+no OS threads are involved and every run is reproducible.
 
-Early termination: when a ``LimitOp`` with no blocking operator upstream is
-exhausted, the executor stops pulling source records — limits genuinely save
-LLM calls.
+* **sequential** — records travel depth-first on the current lane;
+* **parallel** — each source record's journey is charged to the least-busy
+  lane, and lanes synchronize before a blocking operator flushes;
+* **pipelined** / **sharded** / **async** — see
+  :mod:`repro.execution.pipeline` and :mod:`repro.execution.sharded`.
+
+When a ``LimitOp`` with no blocking operator upstream is exhausted, the
+loop stops pulling source records — limits genuinely save LLM calls.
+Such plans always run on the sequential (or parallel) policy: bundling or
+sharding ahead of the limit would change which records pay for calls.
 """
-
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from repro.core.records import DataRecord
 from repro.execution.stats import ModelUsageRow, OperatorStats, PlanStats
@@ -81,9 +87,9 @@ def build_plan_stats(
     busy time in the stats a caller receives.
     """
     for stats in op_stats:
-        # Canonicalize float totals before anything reads them: concurrent
-        # meters accumulated time/cost in thread-arrival order, which is
-        # nondeterministic at the last ulp.
+        # Canonicalize float totals before anything reads them: policies
+        # meter the same calls in different orders (per-bundle, per-shard),
+        # and a running float sum depends on that order at the last ulp.
         stats.finalize()
     scan_stats, downstream_stats = op_stats[0], op_stats[1:]
     accounted = sum(stats.time_seconds for stats in downstream_stats)
@@ -120,14 +126,16 @@ def build_plan_stats(
     )
 
 
-class _OpMeter:
-    """Wraps one operator's stats accumulation for a run.
+class OperatorMeter:
+    """Accumulates one operator's :class:`OperatorStats` for a run.
 
-    When tracing is on, every metered call also becomes an ``op.*`` span:
-    the span's duration is *pinned* to the same ``total_busy`` delta the
-    stats accumulate, so per-op span durations sum exactly to
-    ``OperatorStats.time_seconds`` — LLM leaf spans created inside the
-    call nest under it automatically.
+    Each call collects the LLM usage it records in a
+    :meth:`UsageLedger.capture` bucket and is timed by its
+    ``clock.local_advanced`` delta, whichever lane it charged.  Each call
+    first passes the context's cooperative quota checkpoint, so a shared
+    budget already breached elsewhere aborts the run before it spends.
+    When tracing, each call is also an ``op.*`` span whose duration is
+    pinned to that same delta, so span durations reconcile with the stats.
     """
 
     def __init__(self, op: PhysicalOperator, context: ExecutionContext):
@@ -139,59 +147,173 @@ class _OpMeter:
         )
 
     def open(self) -> None:
-        """Open the operator, attributing any setup work (e.g. a join's
-        right-side materialization) to this operator's stats.  Opening
-        produces no records, so only time/cost are metered."""
-        self._metered(
-            lambda: self.op.open(self.context) or [],
-            inputs=0, count_outputs=False, span_name="op.open",
-        )
+        """Open the operator; setup work (e.g. a join's right side) is
+        charged to it.  Opening produces no records."""
+        self._metered(lambda: self.op.open(self.context), inputs=0,
+                      n_outputs=None, span_name="op.open")
 
     def process(self, record: DataRecord) -> List[DataRecord]:
-        outputs, _ = self._metered(lambda: self.op.process(record), inputs=1)
-        return outputs
+        return self._metered(lambda: self.op.process(record), inputs=1)
+
+    def process_batch(
+        self, records: Sequence[DataRecord]
+    ) -> List[List[DataRecord]]:
+        return self._metered(
+            lambda: self.op.process_batch(records), inputs=len(records),
+            n_outputs=lambda groups: sum(len(g) for g in groups),
+            span_name="op.batch",
+        )
 
     def close(self) -> List[DataRecord]:
-        outputs, _ = self._metered(self.op.close, inputs=0,
-                                   span_name="op.close")
-        return outputs
+        return self._metered(self.op.close, inputs=0, span_name="op.close")
 
-    def _metered(self, fn, inputs: int, count_outputs: bool = True,
-                 span_name: str = "op.process",
-                 ) -> Tuple[List[DataRecord], float]:
-        ledger = self.context.ledger
-        clock = self.context.clock
-        tracer = self.context.tracer
-        busy_before = clock.total_busy
-        calls_before = len(ledger)
-        if tracer.enabled:
-            with tracer.span(span_name, SpanKind.OPERATOR, clock=clock,
-                             op=self.op.op_label) as span:
-                outputs = fn()
-                busy_delta = clock.total_busy - busy_before
-                span.finish_at(span.start + busy_delta)
-                span.set_attribute("records_in", inputs)
-                if count_outputs:
-                    span.set_attribute("records_out", len(outputs))
-        else:
-            outputs = fn()
-            busy_delta = clock.total_busy - busy_before
-        new_usages = ledger.records[calls_before:]
+    def charge_accumulate(self, record: DataRecord) -> None:
+        """Pay a decomposable blocking op's per-record fold charge only;
+        the state mutation is replayed later with ``accumulate_silent``."""
+        seconds = self.op.accumulate_seconds
+        assert seconds is not None, f"{self.op.op_label} is not decomposable"
+        self._metered(lambda: self.op._charge_local_time(seconds) or [],
+                      inputs=1, span_name="op.accumulate")
 
-        self.stats.records_in += inputs
-        if count_outputs:
-            self.stats.records_out += len(outputs)
-        self.stats.add_time(busy_delta)
-        self.stats.llm_calls += len(new_usages)
-        for usage in new_usages:
-            self.stats.add_cost(usage.cost_usd)
-            self.stats.input_tokens += usage.input_tokens
-            self.stats.output_tokens += usage.output_tokens
-        return outputs, busy_delta
+    def _metered(self, fn, inputs: int,
+                 n_outputs: Optional[Callable[..., int]] = len,
+                 span_name: str = "op.process"):
+        context = self.context
+        context.checkpoint()
+        clock = context.clock
+        tracer = context.tracer
+        with context.ledger.capture() as bucket:
+            if tracer.enabled:
+                with tracer.span(span_name, SpanKind.OPERATOR, clock=clock,
+                                 op=self.op.op_label) as span:
+                    busy_before = clock.local_advanced
+                    result = fn()
+                    busy_delta = clock.local_advanced - busy_before
+                    span.finish_at(span.start + busy_delta)
+                    span.set_attribute("records_in", inputs)
+                    if n_outputs is not None:
+                        span.set_attribute("records_out", n_outputs(result))
+            else:
+                busy_before = clock.local_advanced
+                result = fn()
+                busy_delta = clock.local_advanced - busy_before
+        stats = self.stats
+        stats.records_in += inputs
+        if n_outputs is not None:
+            stats.records_out += n_outputs(result)
+        stats.add_time(busy_delta)
+        stats.llm_calls += len(bucket)
+        for usage in bucket:
+            stats.add_cost(usage.cost_usd)
+            stats.input_tokens += usage.input_tokens
+            stats.output_tokens += usage.output_tokens
+        return result
+
+
+def run_chain(meters: List[OperatorMeter],
+              records: Sequence[DataRecord]) -> List[DataRecord]:
+    """Send ``records`` through ``meters`` depth-first, one at a time.
+
+    Blocking operators swallow records; :func:`close_chain` flushes them.
+    An explicit work stack, not recursion, keeps depth-first order: plan
+    depth times fanout must not be bounded by Python's recursion limit.
+    """
+    if not meters:
+        return list(records)
+    sink: List[DataRecord] = []
+    for record in records:
+        stack: List[Tuple[DataRecord, int]] = [(record, 0)]
+        while stack:
+            current, index = stack.pop()
+            if index >= len(meters):
+                sink.append(current)
+                continue
+            outputs = meters[index].process(current)
+            # Reversed so outputs are visited in their emitted order.
+            for output in reversed(outputs):
+                stack.append((output, index + 1))
+    return sink
+
+
+def run_chain_grouped(meters: List[OperatorMeter],
+                      records: Sequence[DataRecord]
+                      ) -> List[List[DataRecord]]:
+    """One ``process_batch`` call per operator; one output group per input
+    record, whose flattening is in :func:`run_chain` order."""
+    groups: List[List[DataRecord]] = [[record] for record in records]
+    for meter in meters:
+        flat = [record for group in groups for record in group]
+        if not flat:
+            break
+        batched = iter(meter.process_batch(flat))
+        groups = [
+            [out for _ in group for out in next(batched)] for group in groups
+        ]
+    return groups
+
+
+def traced_bundle(context: ExecutionContext, name: str, seq: int,
+                  records: int, fn, *args):
+    """Run ``fn(*args)`` under a BUNDLE span carrying ``seq`` (siblings
+    are ordered by it), its duration pinned to the seconds ``fn`` charged."""
+    tracer = context.tracer
+    if not tracer.enabled:
+        return fn(*args)
+    clock = context.clock
+    with tracer.span(name, SpanKind.BUNDLE, clock=clock,
+                     seq=seq, records=records) as span:
+        advanced_before = clock.local_advanced
+        result = fn(*args)
+        span.finish_at(span.start + (clock.local_advanced - advanced_before))
+    return result
+
+
+def close_chain(executor: "SequentialExecutor", meters: List[OperatorMeter],
+                synchronize: bool) -> List[DataRecord]:
+    """Close ``meters`` in order, sending each flush down the rest of the
+    chain; returns what comes out of the end.  With ``synchronize``, all
+    lanes catch up to the makespan before a blocking operator flushes."""
+    out: List[DataRecord] = []
+    for index, meter in enumerate(meters):
+        if synchronize and meter.op.is_blocking:
+            executor.context.clock.synchronize()
+        flushed = meter.close()
+        if flushed and meter.op.is_blocking:
+            executor._emit({
+                "type": "operator_flush",
+                "operator": meter.op.op_label,
+                "records": len(flushed),
+            })
+        out.extend(run_chain(meters[index + 1:], flushed))
+    return out
+
+
+class InlinePolicy:
+    """The sequential and parallel policies: one record at a time,
+    depth-first; ``least_busy`` charges each source record's journey (its
+    scan parse included) to the least-busy lane."""
+
+    def __init__(self, executor: "SequentialExecutor",
+                 downstream: List[OperatorMeter], least_busy: bool):
+        self.executor = executor
+        self.downstream = downstream
+        self.least_busy = least_busy
+
+    def before_pull(self) -> None:
+        if self.least_busy:
+            self.executor.context.clock.pick_least_busy_lane()
+
+    def route(self, record: DataRecord, sink: List[DataRecord]) -> None:
+        sink.extend(run_chain(self.downstream, [record]))
+
+    def finish(self, sink: List[DataRecord]) -> None:
+        sink.extend(close_chain(self.executor, self.downstream,
+                                synchronize=self.least_busy))
 
 
 class SequentialExecutor:
-    """Single-worker depth-first execution.
+    """The run loop, with the sequential policy; subclasses supply other
+    lane policies through :meth:`_policy`.
 
     ``on_event`` (optional) receives progress dictionaries as the run
     advances: ``plan_start``, ``record_processed`` (one per source record,
@@ -199,6 +321,11 @@ class SequentialExecutor:
     emitting), and ``plan_end`` — the hook a UI like the demo's Fig. 5
     progress panel would subscribe to.
     """
+
+    #: Name recorded on the plan.run span.
+    EXECUTOR_NAME = "sequential"
+    #: Whether the inline policy charges each record to the least-busy lane.
+    LEAST_BUSY = False
 
     def __init__(self, context: Optional[ExecutionContext] = None,
                  on_event=None):
@@ -208,16 +335,6 @@ class SequentialExecutor:
     def _emit(self, event: dict) -> None:
         if self._on_event is not None:
             self._on_event(event)
-
-    # -- helpers shared with the parallel executor -----------------------
-
-    def _prepare(self, plan: PhysicalPlan) -> List[_OpMeter]:
-        meters = []
-        for op in plan:
-            meter = _OpMeter(op, self.context)
-            meter.open()
-            meters.append(meter)
-        return meters
 
     @staticmethod
     def _early_stop(plan: PhysicalPlan) -> Optional[LimitOp]:
@@ -229,59 +346,12 @@ class SequentialExecutor:
                 return op
         return None
 
-    def _push(
-        self,
-        record: DataRecord,
-        meters: List[_OpMeter],
-        start: int,
-        sink: List[DataRecord],
-    ) -> None:
-        """Send one record through meters[start:], depth-first.
+    def _plan_span_attrs(self) -> dict:
+        return {"workers": self.context.max_workers}
 
-        Blocking operators swallow records here; their buffered output is
-        flushed by :meth:`_flush` once the upstream segment is drained.
-
-        Depth-first order is kept with an explicit work stack rather than
-        recursion: a chain of high-fanout operators (one-to-many converts,
-        joins) multiplies the depth, and Python's recursion limit must not
-        bound plan depth times fanout.
-        """
-        stack: List[Tuple[DataRecord, int]] = [(record, start)]
-        while stack:
-            current, index = stack.pop()
-            if index >= len(meters):
-                sink.append(current)
-                continue
-            # Cooperative quota-abort point: a shared budget breached by
-            # a concurrent run stops this one between operators, before
-            # the next operator spends anything.
-            self.context.checkpoint()
-            outputs = meters[index].process(current)
-            # Reversed so outputs are visited in their emitted order,
-            # matching what the recursive formulation produced.
-            for output in reversed(outputs):
-                stack.append((output, index + 1))
-
-    def _flush(self, meters: List[_OpMeter], sink: List[DataRecord]) -> None:
-        """Close operators in order, pushing flushed records downstream."""
-        for index, meter in enumerate(meters):
-            self._on_barrier(meter)
-            self.context.checkpoint()
-            flushed = meter.close()
-            if flushed and meter.op.is_blocking:
-                self._emit({
-                    "type": "operator_flush",
-                    "operator": meter.op.op_label,
-                    "records": len(flushed),
-                })
-            for output in flushed:
-                self._push(output, meters, index + 1, sink)
-
-    def _on_barrier(self, meter: _OpMeter) -> None:
-        """Hook: parallel executor synchronizes lanes at blocking ops."""
-
-    def _assign_lane(self) -> None:
-        """Hook: parallel executor picks a clock lane per source record."""
+    def _policy(self, plan: PhysicalPlan, downstream: List[OperatorMeter]):
+        """The lane policy for a plan with operators and no early stop."""
+        return InlinePolicy(self, downstream, self.LEAST_BUSY)
 
     def execute(self, plan: PhysicalPlan) -> Tuple[List[DataRecord], PlanStats]:
         self._emit({
@@ -290,73 +360,79 @@ class SequentialExecutor:
             "plan": plan.describe(),
             "operators": len(plan),
         })
-        tracer = self.context.tracer
-        clock = self.context.clock
-        self.context.provenance.begin_plan(plan)
+        context = self.context
+        tracer = context.tracer
+        clock = context.clock
+        context.provenance.begin_plan(plan)
         with tracer.span(
             "plan.run", SpanKind.PLAN, clock=clock,
-            plan_id=plan.plan_id, executor=self._trace_executor_name(),
-            workers=self.context.max_workers,
+            plan_id=plan.plan_id, executor=self.EXECUTOR_NAME,
+            **self._plan_span_attrs(),
         ) as plan_span:
-            meters = self._prepare(plan)
-            scan_meter, downstream = meters[0], meters[1:]
-            scan_label = scan_meter.op.op_label
+            meters = [OperatorMeter(op, context) for op in plan]
+            for meter in meters:
+                meter.open()
+            scan_stats = meters[0].stats
+            scan_label = meters[0].op.op_label
             stop_limit = self._early_stop(plan)
+            if stop_limit is None and plan.downstream:
+                policy = self._policy(plan, meters[1:])
+            else:
+                policy = InlinePolicy(self, meters[1:], self.LEAST_BUSY)
             sink: List[DataRecord] = []
 
             source_iter = plan.scan.records()
             while True:
                 # Pick the lane *before* pulling, so the parse time charged
-                # inside records() lands on the worker that handles the
-                # record.
-                self._assign_lane()
+                # inside records() lands on the lane the policy chose.
+                policy.before_pull()
                 if tracer.enabled:
                     scan_start = clock.now
                     scan_lane = clock.current_lane
-                    busy_before = clock.total_busy
+                    advanced_before = clock.local_advanced
                 try:
                     record = next(source_iter)
                 except StopIteration:
                     break
-                self.context.provenance.source(record)
+                context.provenance.source(record)
                 if tracer.enabled:
                     tracer.record(
                         "op.scan", SpanKind.OPERATOR, scan_start,
-                        scan_start + (clock.total_busy - busy_before),
+                        scan_start + (clock.local_advanced - advanced_before),
                         scan_lane, op=scan_label,
                         records_in=1, records_out=1,
                     )
-                scan_meter.stats.records_in += 1
-                scan_meter.stats.records_out += 1
-                self._push(record, downstream, 0, sink)
+                scan_stats.records_in += 1
+                scan_stats.records_out += 1
+                policy.route(record, sink)
                 self._emit({
                     "type": "record_processed",
-                    "index": scan_meter.stats.records_in,
+                    "index": scan_stats.records_in,
                     "outputs_so_far": len(sink),
                     "elapsed_seconds": clock.elapsed,
                 })
                 if stop_limit is not None and stop_limit.exhausted:
                     break
-            self._flush(downstream, sink)
+            policy.finish(sink)
             plan_span.finish_at(clock.elapsed)
 
         plan_stats = build_plan_stats(
-            plan, [m.stats for m in meters], self.context, sink
+            plan, [m.stats for m in meters], context, sink
         )
         self._emit({
             "type": "plan_end",
             "records_out": len(sink),
-            "elapsed_seconds": self.context.clock.elapsed,
+            "elapsed_seconds": clock.elapsed,
             "cost_usd": plan_stats.total_cost_usd,
         })
         return sink, plan_stats
 
-    def _trace_executor_name(self) -> str:
-        return "sequential"
-
 
 class ParallelExecutor(SequentialExecutor):
     """Record-parallel execution across ``max_workers`` clock lanes."""
+
+    EXECUTOR_NAME = "parallel"
+    LEAST_BUSY = True
 
     def __init__(self, context: Optional[ExecutionContext] = None,
                  max_workers: int = 4, on_event=None):
@@ -367,13 +443,3 @@ class ParallelExecutor(SequentialExecutor):
                 "context clock must have at least max_workers lanes"
             )
         super().__init__(context, on_event=on_event)
-
-    def _assign_lane(self) -> None:
-        self.context.clock.pick_least_busy_lane()
-
-    def _on_barrier(self, meter: _OpMeter) -> None:
-        if meter.op.is_blocking:
-            self.context.clock.synchronize()
-
-    def _trace_executor_name(self) -> str:
-        return "parallel"

@@ -1,295 +1,233 @@
-"""Batched, pipelined plan execution with real worker threads.
+"""The pipelined lane policy: operator stages and sequence-numbered bundles.
 
-:class:`PipelinedExecutor` splits a physical plan into *stages* connected by
-bounded queues and runs them concurrently on OS threads:
+:class:`PipelinedExecutor` splits the operator chain after the scan into
+*stages* and streams numbered record *bundles* through them, one bundle at
+a time, on the run loop of :mod:`repro.execution.executors`:
 
-* a **parallel stage** is a maximal run of consecutive LLM-bound operators
-  (filters, converts, semantic joins); it gets a pool of ``max_workers``
-  threads that pull record bundles from the stage's input queue;
-* a **serial stage** is a run of order-sensitive streaming operators
-  (limits, distinct, UDFs, code-synthesis converts); one thread processes
-  its input strictly in source order;
-* a **barrier stage** wraps one blocking operator (aggregate, group-by,
-  retrieve, sort); it accumulates in source order and flushes on close.
+* a **parallel stage** — a maximal run of LLM-bound streaming operators —
+  charges bundle ``seq`` to lane ``lane_base + seq % workers``, modelling
+  ``max_workers`` workers pulling bundles off a queue;
+* a **serial stage** — a run of order-sensitive streaming operators
+  (limits, distinct, UDFs, code-synthesis converts) — charges its own lane
+  and re-bundles its output for the next stage;
+* a **barrier stage** — one blocking operator — accumulates on its own
+  lane and flushes on close, once every lane caught up to the makespan.
 
-Determinism contract — the whole point of the design — is that a pipelined
-run produces *byte-identical records* and identical per-operator
-``records_in`` / ``records_out`` / ``llm_calls`` to
-:class:`~repro.execution.executors.SequentialExecutor`, for any thread
-count and any thread interleaving:
+The scan charges lane 0.  A bundle's lane is a pure function of its
+sequence number, so makespans and traces repeat run to run, and records
+and per-operator stats equal the sequential policy's.
 
-* answers are pure functions of ``(model, document, task)`` (seeded per
-  record), so processing order cannot change them;
-* every inter-stage message carries a sequence number; serial and barrier
-  stages hold a reorder buffer and consume strictly in sequence order, and
-  the sink reassembles final output in sequence order;
-* simulated time is charged to a virtual-clock lane chosen by *sequence
-  number* (``lane_base + seq % workers``), not by whichever OS thread got
-  the bundle, so even the simulated makespan is reproducible run to run;
-* a plan whose ``LimitOp`` can stop the source early is executed inline on
-  the orchestrator thread with exactly the sequential early-stop protocol —
-  speculative parallelism upstream of such a limit would change which
-  records get (and pay for) LLM calls.
-
-Batching (``batch_size > 1``) bundles consecutive records into one
-``process_batch`` call per operator.  The client guarantees batched answers
-and token/cost accounting are identical to per-record calls; what changes
-is real wall-clock work (prompt strings are never materialized; shared
-prefixes are tokenized once per batch) and simulated latency (calls after
-the first in a batch amortize the model's fixed per-call overhead).
-
-Backpressure: all queues are bounded, so a slow downstream stage throttles
-the source instead of buffering the whole corpus in flight.
+With ``batch_size > 1`` a parallel stage makes one ``process_batch`` call
+per operator per bundle: answers, tokens and cost are identical to
+per-record calls, while calls after the first in a batch amortize the
+model's fixed per-call overhead and shared prompt prefixes are tokenized
+once.
 """
-
 from __future__ import annotations
 
-import queue
-import threading
-from typing import Any, Callable, List, Optional, Sequence, Tuple
+from itertools import groupby
+from typing import List, Optional, Tuple
 
 from repro.core.records import DataRecord
-from repro.execution.executors import build_plan_stats
-from repro.execution.stats import OperatorStats, PlanStats
+from repro.execution.executors import (
+    OperatorMeter,
+    SequentialExecutor,
+    close_chain,
+    run_chain,
+    run_chain_grouped,
+    traced_bundle,
+)
 from repro.obs.trace import SpanKind
 from repro.physical.base import PhysicalOperator
 from repro.physical.context import ExecutionContext
 from repro.physical.converts import CodeSynthesisConvert
 from repro.physical.plan import PhysicalPlan
-from repro.physical.structural import LimitOp
 
-#: Bundles in flight per stage queue (per worker): bounds memory and gives
-#: the pipeline its backpressure.
-QUEUE_DEPTH_PER_WORKER = 2
-
-
-class _Eos:
-    """End-of-stream marker; ``count`` is the number of bundles sent."""
-
-    __slots__ = ("count",)
-
-    def __init__(self, count: int):
-        self.count = count
-
-
-class _Aborted(Exception):
-    """Internal: another thread failed; unwind quietly."""
+#: A sequence-numbered bundle of records moving between stages.
+Bundle = Tuple[int, List[DataRecord]]
 
 
 def parallel_safe(op: PhysicalOperator) -> bool:
     """Can ``op`` process records out of order with identical results?
 
     True for stateless LLM-bound streaming operators — the ones worth
-    threading.  CodeSynthesisConvert is LLM-bound but order-sensitive (the
-    first records seen become the exemplars), so it stays serial.
+    spreading over lanes.  CodeSynthesisConvert is LLM-bound but
+    order-sensitive (the first records seen become the exemplars), so it
+    stays serial.
     """
-    return (
-        op.is_llm_op
-        and not op.is_blocking
-        and not isinstance(op, CodeSynthesisConvert)
-    )
-
-
-class _PipeMeter:
-    """Thread-safe per-operator stats accumulation.
-
-    The single-threaded executors meter a call by slicing the ledger and
-    diffing the clock's ``total_busy`` — both break under interleaving.
-    Here each call is wrapped in :meth:`UsageLedger.capture` (thread-local)
-    and timed by the calling thread's *own lane* delta, so concurrent calls
-    to different operators attribute correctly.
-    """
-
-    #: Writes-only: readers (build_plan_stats, after all workers joined)
-    #: see a quiesced meter.
-    _GUARDED_BY = {"stats": ("_lock", "writes")}
-
-    def __init__(self, op: PhysicalOperator, context: ExecutionContext):
-        self.op = op
-        self.context = context
-        self.stats = OperatorStats(
-            op_label=op.op_label,
-            logical_describe=op.logical_op.describe(),
-        )
-        self._lock = threading.Lock()
-
-    def open(self) -> None:
-        self._metered(
-            lambda: self.op.open(self.context) or [],
-            inputs=0, count_outputs=False, span_name="op.open",
-        )
-
-    def process(self, record: DataRecord) -> List[DataRecord]:
-        return self._metered(lambda: self.op.process(record), inputs=1)
-
-    def process_batch(
-        self, records: Sequence[DataRecord]
-    ) -> List[List[DataRecord]]:
-        groups = self._metered_raw(
-            lambda: self.op.process_batch(records), inputs=len(records),
-            n_outputs=lambda gs: sum(len(g) for g in gs),
-            span_name="op.batch",
-        )
-        return groups
-
-    def close(self) -> List[DataRecord]:
-        return self._metered(self.op.close, inputs=0, span_name="op.close")
-
-    def _metered(self, fn, inputs: int, count_outputs: bool = True,
-                 span_name: str = "op.process") -> List[DataRecord]:
-        return self._metered_raw(
-            fn, inputs, n_outputs=len if count_outputs else lambda _: 0,
-            span_name=span_name,
-        )
-
-    def _metered_raw(self, fn, inputs: int, n_outputs: Callable[[Any], int],
-                     span_name: str = "op.process"):
-        clock = self.context.clock
-        tracer = self.context.tracer
-        # Busy time is measured with the thread-local advance accumulator,
-        # not the lane's wall time: another worker charged to the same lane
-        # (bundle seqs that collide modulo ``workers``) would otherwise
-        # leak its advances into this delta.  The span's duration is pinned
-        # to the same delta the stats accumulate, so span durations
-        # reconcile with OperatorStats.time_seconds exactly.
-        if tracer.enabled:
-            with tracer.span(span_name, SpanKind.OPERATOR, clock=clock,
-                             op=self.op.op_label) as span:
-                with self.context.ledger.capture() as bucket:
-                    busy_before = clock.local_advanced
-                    result = fn()
-                    busy_delta = clock.local_advanced - busy_before
-                span.finish_at(span.start + busy_delta)
-                span.set_attribute("records_in", inputs)
-                span.set_attribute("records_out", n_outputs(result))
-        else:
-            with self.context.ledger.capture() as bucket:
-                busy_before = clock.local_advanced
-                result = fn()
-                busy_delta = clock.local_advanced - busy_before
-        self._account(inputs, n_outputs(result), busy_delta, bucket)
-        return result
-
-    async def aprocess(self, record: DataRecord) -> List[DataRecord]:
-        """Async twin of :meth:`process` with identical accounting.
-
-        The awaited operator must not suspend between the accounting
-        boundaries (the simulated client's coroutines never do), so the
-        thread-local capture/advance attribution below stays exact even
-        with many asyncio tasks sharing the event-loop thread.
-        """
-        clock = self.context.clock
-        tracer = self.context.tracer
-        if tracer.enabled:
-            with tracer.span("op.process", SpanKind.OPERATOR, clock=clock,
-                             op=self.op.op_label) as span:
-                with self.context.ledger.capture() as bucket:
-                    busy_before = clock.local_advanced
-                    result = await self.op.aprocess(record)
-                    busy_delta = clock.local_advanced - busy_before
-                span.finish_at(span.start + busy_delta)
-                span.set_attribute("records_in", 1)
-                span.set_attribute("records_out", len(result))
-        else:
-            with self.context.ledger.capture() as bucket:
-                busy_before = clock.local_advanced
-                result = await self.op.aprocess(record)
-                busy_delta = clock.local_advanced - busy_before
-        self._account(1, len(result), busy_delta, bucket)
-        return result
-
-    def charge_accumulate(self, record: DataRecord) -> None:
-        """Pay a decomposable blocking op's per-record fold cost here.
-
-        Scale-out executors call this on a shard worker's lane (counting the
-        record in and charging ``accumulate_seconds``) and later replay only
-        the unmetered state mutation — ``accumulate_silent`` — in global
-        order at the gather, so the combined accounting matches a
-        sequential ``accumulate`` exactly.
-        """
-        op = self.op
-        seconds = op.accumulate_seconds
-        assert seconds is not None, f"{op.op_label} fold is not decomposable"
-        self._metered(
-            lambda: op._charge_local_time(seconds) or [],
-            inputs=1, span_name="op.accumulate",
-        )
-
-    def _account(self, inputs: int, outputs: int, busy_delta: float,
-                 bucket) -> None:
-        with self._lock:
-            self.stats.records_in += inputs
-            self.stats.records_out += outputs
-            self.stats.add_time(busy_delta)
-            self.stats.llm_calls += len(bucket)
-            for usage in bucket:
-                self.stats.add_cost(usage.cost_usd)
-                self.stats.input_tokens += usage.input_tokens
-                self.stats.output_tokens += usage.output_tokens
+    return (op.is_llm_op and not op.is_blocking
+            and not isinstance(op, CodeSynthesisConvert))
 
 
 class _Stage:
-    """One segment of the operator chain plus its plumbing."""
+    """One segment of the operator chain and its bundle bookkeeping."""
 
-    _GUARDED_BY = {"exited": "exit_lock", "eos": "exit_lock"}
-
-    def __init__(self, meters: List[_PipeMeter], parallel: bool,
+    def __init__(self, meters: List[OperatorMeter], parallel: bool,
                  workers: int, lane_base: int):
         self.meters = meters
         self.parallel = parallel
         self.workers = workers if parallel else 1
         self.lane_base = lane_base
-        self.in_queue: "queue.Queue" = queue.Queue(
-            maxsize=max(2, QUEUE_DEPTH_PER_WORKER * self.workers)
-        )
-        # Wired by the executor before threads start:
-        self.out_queue: Optional["queue.Queue"] = None
-        self.next_consumers = 1  # sentinel fan-out (next stage's workers)
-        self.next_parallel = False  # next stage wants batch-sized bundles
-        # Parallel-stage shutdown bookkeeping (last worker out closes ops).
-        self.exit_lock = threading.Lock()
-        self.exited = 0
-        self.eos: Optional[_Eos] = None
-        # Observability (wired by the executor when tracing/metrics are on):
-        self.span = None  # pipeline.stage span workers attach under
-        self.depth_gauge = None  # best-effort in-queue high-water mark
-        self.poll_counter = None  # best-effort empty-poll retries
-
-    @property
-    def is_barrier(self) -> bool:
-        return len(self.meters) == 1 and self.meters[0].op.is_blocking
+        self.out_batch = 1  # records per bundle sent downstream
+        self.received = 0  # bundles fed in so far
+        self.emitted = 0  # bundles a serial stage has sent downstream
+        self.pending: List[DataRecord] = []  # serial output not yet bundled
+        self.span = None  # pipeline.stage span (when tracing)
 
     def describe(self) -> str:
-        kind = (
-            "barrier" if self.is_barrier
-            else "parallel" if self.parallel else "serial"
-        )
+        kind = ("barrier" if self.meters[0].op.is_blocking
+                else "parallel" if self.parallel else "serial")
         ops = "+".join(m.op.op_label for m in self.meters)
         return f"{kind}({ops})"
 
+    def rebundle(self, flush: bool = False) -> List[Bundle]:
+        """Cut pending serial output into numbered downstream bundles."""
+        bundles: List[Bundle] = []
+        pending = self.pending
+        while len(pending) >= self.out_batch or (flush and pending):
+            bundles.append((self.emitted, pending[:self.out_batch]))
+            del pending[:self.out_batch]
+            self.emitted += 1
+        return bundles
 
-class PipelinedExecutor:
-    """Stage-pipelined, optionally batched, multi-threaded execution.
+
+class PipelinePolicy:
+    """Streams bundles through the stages; see the module docstring."""
+
+    def __init__(self, executor: "PipelinedExecutor",
+                 downstream: List[OperatorMeter]):
+        self.executor = executor
+        self.context = executor.context
+        self.batch_size = executor.batch_size
+        self.stages = self._build_stages(downstream, executor.max_workers)
+        for stage, successor in zip(self.stages, self.stages[1:]):
+            stage.out_batch = self.batch_size if successor.parallel else 1
+        tracer = self.context.tracer
+        if tracer.enabled:
+            for index, stage in enumerate(self.stages):
+                stage.span = tracer.start_span(
+                    "pipeline.stage", SpanKind.STAGE,
+                    clock=self.context.clock, stage=index,
+                    ops=stage.describe(), workers=stage.workers,
+                    parallel=stage.parallel,
+                )
+        self.in_batch = self.batch_size if self.stages[0].parallel else 1
+        self.bundle: List[DataRecord] = []  # scan records not yet sent
+
+    def _build_stages(self, meters: List[OperatorMeter],
+                      workers: int) -> List[_Stage]:
+        """Split downstream meters into parallel/serial/barrier stages:
+        every blocking operator alone, other runs by :func:`parallel_safe`."""
+        stages: List[_Stage] = []
+        lane_base = 1  # lane 0 belongs to the scan
+        runs = groupby(meters, key=lambda m: (
+            m if m.op.is_blocking else parallel_safe(m.op)
+        ))
+        for key, run in runs:
+            stage = _Stage(list(run), key is True, workers, lane_base)
+            lane_base += stage.workers
+            stages.append(stage)
+        self.context.clock.ensure_lanes(lane_base)
+        return stages
+
+    # -- the policy interface ----------------------------------------------
+
+    def before_pull(self) -> None:
+        self.context.clock.use_lane(0)
+
+    def route(self, record: DataRecord, sink: List[DataRecord]) -> None:
+        self.bundle.append(record)
+        if len(self.bundle) >= self.in_batch:
+            self._feed_scan_bundle(sink)
+
+    def finish(self, sink: List[DataRecord]) -> None:
+        if self.bundle:
+            self._feed_scan_bundle(sink)
+        for index, stage in enumerate(self.stages):
+            self._drain(index + 1, self._close(stage), sink)
+        metrics = self.context.metrics
+        elapsed = self.context.clock.elapsed
+        for index, stage in enumerate(self.stages):
+            # The stage's operator busy time: the same numbers
+            # OperatorStats reports, so trace and stats reconcile.
+            busy = round(sum(m.stats.time_seconds for m in stage.meters), 9)
+            metrics.gauge(f"pipeline.stage{index}.busy_seconds").set(busy)
+            if stage.span is not None:
+                stage.span.set_attribute("busy_seconds", busy)
+                stage.span.set_attribute(
+                    "records_out", stage.meters[-1].stats.records_out
+                )
+                stage.span.finish_at(elapsed)
+
+    # -- bundle movement -----------------------------------------------------
+
+    def _feed_scan_bundle(self, sink: List[DataRecord]) -> None:
+        bundle, self.bundle = self.bundle, []
+        self._drain(0, [(self.stages[0].received, bundle)], sink)
+
+    def _drain(self, start: int, bundles: List[Bundle],
+               sink: List[DataRecord]) -> None:
+        """Push ``bundles`` into stage ``start`` and everything they cause
+        downstream, depth-first, before returning."""
+        stack = [(start, bundle) for bundle in reversed(bundles)]
+        while stack:
+            index, (seq, records) = stack.pop()
+            if index == len(self.stages):
+                sink.extend(records)
+                continue
+            outputs = self._feed(self.stages[index], seq, records)
+            for bundle in reversed(outputs):
+                stack.append((index + 1, bundle))
+
+    def _feed(self, stage: _Stage, seq: int,
+              records: List[DataRecord]) -> List[Bundle]:
+        stage.received += 1
+        clock = self.context.clock
+        if stage.parallel:
+            clock.use_lane(stage.lane_base + seq % stage.workers)
+        else:
+            clock.use_lane(stage.lane_base)
+        with self.context.tracer.attach(stage.span):
+            outputs = traced_bundle(self.context, "pipeline.bundle", seq,
+                                    len(records), self._chain, stage, records)
+        if stage.parallel:
+            return [(seq, outputs)]
+        stage.pending.extend(outputs)
+        return stage.rebundle()
+
+    def _chain(self, stage: _Stage,
+               records: List[DataRecord]) -> List[DataRecord]:
+        if stage.parallel and self.batch_size > 1:
+            groups = run_chain_grouped(stage.meters, records)
+            return [record for group in groups for record in group]
+        return run_chain(stage.meters, records)
+
+    def _close(self, stage: _Stage) -> List[Bundle]:
+        """Close the stage's operators on its own lane; a parallel stage's
+        flush becomes one bundle sequenced after its mainline bundles."""
+        self.context.clock.use_lane(stage.lane_base)
+        with self.context.tracer.attach(stage.span):
+            flushed = close_chain(self.executor, stage.meters,
+                                  synchronize=True)
+        if stage.parallel:
+            return [(stage.received, flushed)] if flushed else []
+        stage.pending.extend(flushed)
+        return stage.rebundle(flush=True)
+
+
+class PipelinedExecutor(SequentialExecutor):
+    """Stage-pipelined, optionally batched execution.
 
     Args:
         context: execution context; created with ``max_workers`` lanes when
             omitted.
-        max_workers: thread-pool size per parallel (LLM-bound) stage;
-            defaults to the context's ``max_workers``.
+        max_workers: lanes per parallel stage (default: the context's).
         batch_size: records per ``process_batch`` call in parallel stages;
-            1 means per-record calls (byte-identical accounting to the
-            sequential executor).
-        on_event: optional progress callback (same events the sequential
-            executor emits; may be invoked from worker threads).
+            left at 1, the batch size the optimizer stamped on the plan.
+        on_event: optional progress callback.
     """
 
-    #: Name recorded on the plan.run span and in ExecutionStats; subclasses
-    #: (the sharded and async executors) override it.
     EXECUTOR_NAME = "pipelined"
-
-    #: Writes-only: the post-join reads in execute() happen after every
-    #: worker thread has exited.
-    _GUARDED_BY = {"_errors": ("_error_lock", "writes")}
 
     def __init__(self, context: Optional[ExecutionContext] = None,
                  max_workers: Optional[int] = None, batch_size: int = 1,
@@ -298,609 +236,22 @@ class PipelinedExecutor:
             raise ValueError(f"batch_size must be >= 1, got {batch_size}")
         if context is None:
             context = ExecutionContext(max_workers=max_workers or 4)
-        self.context = context
+        super().__init__(context, on_event=on_event)
         self.max_workers = max_workers or context.max_workers
         if self.max_workers < 1:
             raise ValueError(
                 f"max_workers must be >= 1, got {self.max_workers}"
             )
         self.batch_size = batch_size
-        self._on_event = on_event
-        self._event_lock = threading.Lock()
-        self._abort = threading.Event()
-        self._errors: List[BaseException] = []
-        self._error_lock = threading.Lock()
 
-    # -- event / error plumbing -------------------------------------------
-
-    def _emit(self, event: dict) -> None:
-        if self._on_event is not None:
-            with self._event_lock:
-                self._on_event(event)
-
-    def _fail(self, exc: BaseException) -> None:
-        with self._error_lock:
-            self._errors.append(exc)
-        self._abort.set()
-
-    def _put(self, target: "queue.Queue", item) -> None:
-        while True:
-            if self._abort.is_set():
-                raise _Aborted()
-            try:
-                target.put(item, timeout=0.05)
-                return
-            except queue.Full:
-                continue
-
-    def _get(self, source: "queue.Queue", poll_counter=None):
-        while True:
-            if self._abort.is_set():
-                raise _Aborted()
-            try:
-                return source.get(timeout=0.05)
-            except queue.Empty:
-                if poll_counter is not None:
-                    poll_counter.inc()
-                continue
-
-    # -- plan segmentation -------------------------------------------------
-
-    def _build_stages(self, meters: List[_PipeMeter]) -> List[_Stage]:
-        """Split downstream meters into parallel/serial/barrier stages."""
-        stages: List[_Stage] = []
-        run: List[_PipeMeter] = []
-        run_parallel = False
-        lane_base = 1  # lane 0 belongs to the orchestrator (scan parses)
-
-        def flush_run():
-            nonlocal run, lane_base
-            if run:
-                stage = _Stage(run, run_parallel,
-                               self.max_workers, lane_base)
-                lane_base += stage.workers
-                stages.append(stage)
-                run = []
-
-        for meter in meters:
-            if meter.op.is_blocking:
-                flush_run()
-                stage = _Stage([meter], parallel=False, workers=1,
-                               lane_base=lane_base)
-                lane_base += 1
-                stages.append(stage)
-                continue
-            safe = parallel_safe(meter.op)
-            if run and safe != run_parallel:
-                flush_run()
-            run_parallel = safe
-            run.append(meter)
-        flush_run()
-        self.context.clock.ensure_lanes(lane_base)
-        return stages
-
-    @staticmethod
-    def _early_stop(plan: PhysicalPlan) -> Optional[LimitOp]:
-        """The first LimitOp with only streaming operators upstream."""
-        for op in plan.downstream:
-            if op.is_blocking:
-                return None
-            if isinstance(op, LimitOp):
-                return op
-        return None
-
-    # -- record movement through an operator chain ------------------------
-
-    @staticmethod
-    def _run_chain(meters: List[_PipeMeter],
-                   records: Sequence[DataRecord]) -> List[DataRecord]:
-        """Depth-first per-record processing (sequential-identical order)."""
-        sink: List[DataRecord] = []
-        for record in records:
-            stack: List[Tuple[DataRecord, int]] = [(record, 0)]
-            while stack:
-                current, index = stack.pop()
-                if index >= len(meters):
-                    sink.append(current)
-                    continue
-                outputs = meters[index].process(current)
-                for output in reversed(outputs):
-                    stack.append((output, index + 1))
-        return sink
-
-    @staticmethod
-    def _run_chain_batched(meters: List[_PipeMeter],
-                           records: Sequence[DataRecord]) -> List[DataRecord]:
-        """Layer-batched processing; same flattened output order as
-        :meth:`_run_chain` because per-input grouping is preserved."""
-        groups: List[List[DataRecord]] = [[record] for record in records]
-        for meter in meters:
-            flat = [record for group in groups for record in group]
-            if not flat:
-                return []
-            batched = meter.process_batch(flat)
-            regrouped: List[List[DataRecord]] = []
-            cursor = 0
-            for group in groups:
-                merged: List[DataRecord] = []
-                for _ in group:
-                    merged.extend(batched[cursor])
-                    cursor += 1
-                regrouped.append(merged)
-            groups = regrouped
-        return [record for group in groups for record in group]
-
-    # -- stage workers -----------------------------------------------------
-
-    def _parallel_worker(self, stage: _Stage) -> None:
-        clock = self.context.clock
-        tracer = self.context.tracer
-        try:
-            # Attach the stage span so bundle / op / llm spans created on
-            # this worker thread nest under it (bundles carry a ``seq``
-            # attribute, so canonical ordering erases the thread race).
-            with tracer.attach(stage.span):
-                while True:
-                    item = self._get(stage.in_queue, stage.poll_counter)
-                    if isinstance(item, _Eos):
-                        with stage.exit_lock:
-                            stage.exited += 1
-                            stage.eos = item
-                            last_out = stage.exited == stage.workers
-                        if last_out:
-                            self._close_stage_ops(stage, item.count)
-                        return
-                    seq, records = item
-                    if stage.depth_gauge is not None:
-                        stage.depth_gauge.set_max(stage.in_queue.qsize())
-                    # Lane by sequence number, not by thread: simulated time
-                    # is then independent of which OS thread won the race.
-                    clock.use_lane(stage.lane_base + seq % stage.workers)
-                    outputs = self._traced_bundle(
-                        stage, seq, records, tracer, clock
-                    )
-                    self._put(stage.out_queue, (seq, outputs))
-        except _Aborted:
-            pass
-        except BaseException as exc:  # noqa: BLE001 - reported to caller
-            self._fail(exc)
-
-    def _traced_bundle(self, stage: _Stage, seq: int,
-                       records: Sequence[DataRecord], tracer,
-                       clock) -> List[DataRecord]:
-        """Process one bundle through the stage chain, under its span.
-
-        The bundle's duration is pinned to the thread-local advance delta
-        (the thread's own charges only); its *start* is canonicalized after
-        the threads join — same-lane starts observed live are racy, but
-        durations plus per-lane seq order determine the layout exactly.
-        """
-        if tracer.enabled:
-            with tracer.span("pipeline.bundle", SpanKind.BUNDLE, clock=clock,
-                             seq=seq, records=len(records)) as span:
-                advanced_before = clock.local_advanced
-                outputs = self._bundle_chain(stage, records)
-                span.finish_at(
-                    span.start + (clock.local_advanced - advanced_before)
-                )
-            return outputs
-        return self._bundle_chain(stage, records)
-
-    def _bundle_chain(self, stage: _Stage,
-                      records: Sequence[DataRecord]) -> List[DataRecord]:
-        if stage.parallel and self.batch_size > 1:
-            return self._run_chain_batched(stage.meters, records)
-        return self._run_chain(stage.meters, records)
-
-    def _serial_worker(self, stage: _Stage) -> None:
-        clock = self.context.clock
-        tracer = self.context.tracer
-        clock.use_lane(stage.lane_base)
-        buffer: dict = {}
-        next_seq = 0
-        emitted = 0
-        pending: List[DataRecord] = []
-        out_batch = self._out_bundle_size(stage)
-        try:
-            with tracer.attach(stage.span):
-                while True:
-                    item = self._get(stage.in_queue, stage.poll_counter)
-                    if isinstance(item, _Eos):
-                        # EOS is always enqueued last, so the buffer now
-                        # holds every outstanding bundle; drain in order.
-                        for seq in sorted(buffer):
-                            assert seq == next_seq, "sequence gap in pipeline"
-                            pending.extend(
-                                self._serial_process(stage, buffer[seq], seq)
-                            )
-                            emitted = self._send_bundles(
-                                stage, pending, emitted, out_batch
-                            )
-                            next_seq += 1
-                        buffer.clear()
-                        pending.extend(self._close_serial(stage))
-                        emitted = self._send_bundles(
-                            stage, pending, emitted, out_batch, flush=True
-                        )
-                        for _ in range(stage.next_consumers):
-                            self._put(stage.out_queue, _Eos(emitted))
-                        return
-                    seq, records = item
-                    buffer[seq] = records
-                    if stage.depth_gauge is not None:
-                        stage.depth_gauge.set_max(stage.in_queue.qsize())
-                    while next_seq in buffer:
-                        pending.extend(
-                            self._serial_process(
-                                stage, buffer.pop(next_seq), next_seq
-                            )
-                        )
-                        emitted = self._send_bundles(
-                            stage, pending, emitted, out_batch
-                        )
-                        next_seq += 1
-        except _Aborted:
-            pass
-        except BaseException as exc:  # noqa: BLE001 - reported to caller
-            self._fail(exc)
-
-    def _serial_process(self, stage: _Stage, records: Sequence[DataRecord],
-                        seq: int) -> List[DataRecord]:
-        return self._traced_bundle(
-            stage, seq, records, self.context.tracer, self.context.clock
-        )
-
-    def _close_serial(self, stage: _Stage) -> List[DataRecord]:
-        """Close the stage's operators in order, like the sequential flush."""
-        if stage.is_barrier:
-            # Model every upstream worker arriving at the barrier.
-            self.context.clock.synchronize()
-        flushed_out: List[DataRecord] = []
-        for index, meter in enumerate(stage.meters):
-            flushed = meter.close()
-            if flushed and meter.op.is_blocking:
-                self._emit({
-                    "type": "operator_flush",
-                    "operator": meter.op.op_label,
-                    "records": len(flushed),
-                })
-            flushed_out.extend(
-                self._run_chain(stage.meters[index + 1:], flushed)
-            )
-        return flushed_out
-
-    def _close_stage_ops(self, stage: _Stage, mainline_bundles: int) -> None:
-        """Last worker of a parallel stage: close ops, emit, propagate EOS."""
-        self.context.clock.use_lane(stage.lane_base)
-        outputs = self._close_serial(stage)
-        seq = mainline_bundles
-        if outputs:
-            self._put(stage.out_queue, (seq, outputs))
-            seq += 1
-        for _ in range(stage.next_consumers):
-            self._put(stage.out_queue, _Eos(seq))
-
-    def _out_bundle_size(self, stage: _Stage) -> int:
-        """Records per bundle sent downstream of ``stage``."""
-        return self.batch_size if stage.next_parallel else 1
-
-    def _send_bundles(self, stage: _Stage, pending: List[DataRecord],
-                      emitted: int, out_batch: int,
-                      flush: bool = False) -> int:
-        while len(pending) >= out_batch or (flush and pending):
-            bundle = pending[:out_batch]
-            del pending[:out_batch]
-            self._put(stage.out_queue, (emitted, bundle))
-            emitted += 1
-        return emitted
-
-    def _sink_worker(self, source: "queue.Queue",
-                     sink: List[DataRecord]) -> None:
-        buffer: dict = {}
-        next_seq = 0
-        try:
-            while True:
-                item = self._get(source)
-                if isinstance(item, _Eos):
-                    for seq in sorted(buffer):
-                        assert seq == next_seq, "sequence gap at sink"
-                        sink.extend(buffer[seq])
-                        next_seq += 1
-                    return
-                seq, records = item
-                buffer[seq] = records
-                while next_seq in buffer:
-                    sink.extend(buffer.pop(next_seq))
-                    next_seq += 1
-        except _Aborted:
-            pass
-        except BaseException as exc:  # noqa: BLE001 - reported to caller
-            self._fail(exc)
-
-    # -- serial-inline path (limit early stop) -----------------------------
-
-    def _execute_inline(self, plan: PhysicalPlan, meters: List[_PipeMeter],
-                        stop_limit: LimitOp) -> List[DataRecord]:
-        """Sequential-identical execution on the orchestrator thread.
-
-        Used when a LimitOp can stop the source early: which records reach
-        the LLM operators then depends on the limit's feedback after every
-        single record, so any speculative parallelism (threads *or*
-        batches) would change the run's LLM call count.
-        """
-        scan_meter, downstream = meters[0], meters[1:]
-        sink: List[DataRecord] = []
-        for record in self._traced_scan(plan, scan_meter):
-            sink.extend(self._run_chain(downstream, [record]))
-            self._emit({
-                "type": "record_processed",
-                "index": scan_meter.stats.records_in,
-                "outputs_so_far": len(sink),
-                "elapsed_seconds": self.context.clock.elapsed,
-            })
-            if stop_limit.exhausted:
-                break
-        for index, meter in enumerate(downstream):
-            flushed = meter.close()
-            if flushed and meter.op.is_blocking:
-                self._emit({
-                    "type": "operator_flush",
-                    "operator": meter.op.op_label,
-                    "records": len(flushed),
-                })
-            sink.extend(self._run_chain(downstream[index + 1:], flushed))
-        return sink
-
-    # -- the main entry point ---------------------------------------------
-
-    def execute(self, plan: PhysicalPlan) -> Tuple[List[DataRecord], PlanStats]:
-        self._abort.clear()
-        with self._error_lock:
-            self._errors.clear()
+    def execute(self, plan: PhysicalPlan):
         if self.batch_size == 1 and getattr(plan, "batch_size", 1) > 1:
-            # Honor the batch size the optimizer stamped onto the plan when
-            # the caller did not pick one explicitly.
             self.batch_size = plan.batch_size
-        self._emit({
-            "type": "plan_start",
-            "plan_id": plan.plan_id,
-            "plan": plan.describe(),
-            "operators": len(plan),
-        })
-        tracer = self.context.tracer
-        self.context.provenance.begin_plan(plan)
-        with tracer.span(
-            "plan.run", SpanKind.PLAN, clock=self.context.clock,
-            plan_id=plan.plan_id, executor=self.EXECUTOR_NAME,
-            **self._plan_span_attrs(),
-        ) as plan_span:
-            meters = [_PipeMeter(op, self.context) for op in plan]
-            for meter in meters:
-                meter.open()
-
-            stop_limit = self._early_stop(plan)
-            if stop_limit is not None or not plan.downstream:
-                sink = (
-                    self._execute_inline(plan, meters, stop_limit)
-                    if stop_limit is not None
-                    else self._scan_only(plan, meters[0])
-                )
-            else:
-                sink = self._execute_concurrent(plan, meters)
-            plan_span.finish_at(self.context.clock.elapsed)
-
-        plan_stats = build_plan_stats(
-            plan, [m.stats for m in meters], self.context, sink
-        )
-        self._emit({
-            "type": "plan_end",
-            "records_out": len(sink),
-            "elapsed_seconds": self.context.clock.elapsed,
-            "cost_usd": plan_stats.total_cost_usd,
-        })
-        return sink, plan_stats
+        return super().execute(plan)
 
     def _plan_span_attrs(self) -> dict:
-        """Extra attributes for the plan.run span (overridden by subclasses)."""
         return {"workers": self.max_workers, "batch_size": self.batch_size}
 
-    def _execute_concurrent(self, plan: PhysicalPlan,
-                            meters: List[_PipeMeter]) -> List[DataRecord]:
-        """The concurrent execution strategy; subclasses swap theirs in."""
-        return self._execute_pipelined(plan, meters)
-
-    def _scan_only(self, plan: PhysicalPlan,
-                   scan_meter: _PipeMeter) -> List[DataRecord]:
-        return list(self._traced_scan(plan, scan_meter))
-
-    def _traced_scan(self, plan: PhysicalPlan, scan_meter: _PipeMeter):
-        """Iterate the source, metering each pull as an ``op.scan`` span.
-
-        The parse time charged inside ``records()`` lands on the calling
-        thread's current lane, so the span is timed by that lane's delta.
-        """
-        clock = self.context.clock
-        tracer = self.context.tracer
-        scan_label = scan_meter.op.op_label
-        source_iter = plan.scan.records()
-        while True:
-            if tracer.enabled:
-                scan_start = clock.now
-                scan_lane = clock.current_lane
-            try:
-                record = next(source_iter)
-            except StopIteration:
-                return
-            if tracer.enabled:
-                tracer.record(
-                    "op.scan", SpanKind.OPERATOR, scan_start, clock.now,
-                    scan_lane, op=scan_label, records_in=1, records_out=1,
-                )
-            self.context.provenance.source(record)
-            with scan_meter._lock:
-                scan_meter.stats.records_in += 1
-                scan_meter.stats.records_out += 1
-            yield record
-
-    def _execute_pipelined(self, plan: PhysicalPlan,
-                           meters: List[_PipeMeter]) -> List[DataRecord]:
-        scan_meter = meters[0]
-        stages = self._build_stages(meters[1:])
-        tracer = self.context.tracer
-        metrics = self.context.metrics
-        for index, stage in enumerate(stages):
-            if tracer.enabled:
-                # Created on the orchestrator thread (under plan.run) so
-                # worker threads can attach to it before any bundle flows.
-                stage.span = tracer.start_span(
-                    "pipeline.stage", SpanKind.STAGE,
-                    clock=self.context.clock, stage=index,
-                    ops=stage.describe(), workers=stage.workers,
-                    parallel=stage.parallel,
-                )
-            stage.depth_gauge = metrics.gauge(
-                f"pipeline.stage{index}.queue_depth_peak", best_effort=True
-            )
-            stage.poll_counter = metrics.counter(
-                f"pipeline.stage{index}.queue_poll_retries", best_effort=True
-            )
-
-        # Wire stage N's output to stage N+1's input; the last stage feeds
-        # the sink queue (drained by a dedicated thread so bounded queues
-        # can never deadlock against the feeding orchestrator).
-        sink_queue: "queue.Queue" = queue.Queue(
-            maxsize=max(2, QUEUE_DEPTH_PER_WORKER * self.max_workers)
-        )
-        for stage, successor in zip(stages, stages[1:]):
-            stage.out_queue = successor.in_queue
-            stage.next_consumers = successor.workers
-            stage.next_parallel = successor.parallel
-        stages[-1].out_queue = sink_queue
-        stages[-1].next_consumers = 1
-        stages[-1].next_parallel = False
-
-        sink: List[DataRecord] = []
-        threads: List[threading.Thread] = []
-        # Lane times before any worker runs: the relayout pass below lays
-        # each lane's bundles out cumulatively from these baselines.
-        base_lane_times = (
-            self.context.clock.lane_times() if tracer.enabled else []
-        )
-        for number, stage in enumerate(stages):
-            worker = (
-                self._parallel_worker if stage.parallel
-                else self._serial_worker
-            )
-            for wid in range(stage.workers):
-                thread = threading.Thread(
-                    target=worker, args=(stage,),
-                    name=f"pipeline-s{number}-w{wid}", daemon=True,
-                )
-                thread.start()
-                threads.append(thread)
-        sink_thread = threading.Thread(
-            target=self._sink_worker, args=(sink_queue, sink),
-            name="pipeline-sink", daemon=True,
-        )
-        sink_thread.start()
-        threads.append(sink_thread)
-
-        # Orchestrator: pull the scan on lane 0, bundle, and feed stage 0.
-        first = stages[0]
-        in_bundle = self.batch_size if first.parallel else 1
-        self.context.clock.use_lane(0)
-        bundle: List[DataRecord] = []
-        fed = 0
-        try:
-            for record in self._traced_scan(plan, scan_meter):
-                bundle.append(record)
-                if len(bundle) >= in_bundle:
-                    self._put(first.in_queue, (fed, bundle))
-                    fed += 1
-                    bundle = []
-                self._emit({
-                    "type": "record_processed",
-                    "index": scan_meter.stats.records_in,
-                    "outputs_so_far": len(sink),
-                    "elapsed_seconds": self.context.clock.elapsed,
-                })
-            if bundle:
-                self._put(first.in_queue, (fed, bundle))
-                fed += 1
-            for _ in range(first.workers):
-                self._put(first.in_queue, _Eos(fed))
-        except _Aborted:
-            pass
-        except BaseException as exc:  # noqa: BLE001 - reported below
-            self._fail(exc)
-
-        for thread in threads:
-            thread.join()
-        if self._errors:
-            raise self._errors[0]
-
-        # Finish stage spans and record deterministic per-stage busy time
-        # (the sum of the stage's operator lane-time deltas — the same
-        # numbers OperatorStats reports, so trace and stats reconcile).
-        elapsed = self.context.clock.elapsed
-        for index, stage in enumerate(stages):
-            busy = round(
-                sum(m.stats.time_seconds for m in stage.meters), 9
-            )
-            metrics.gauge(f"pipeline.stage{index}.busy_seconds").set(busy)
-            if stage.span is not None:
-                self._canonicalize_stage(stage, base_lane_times)
-                stage.span.set_attribute("busy_seconds", busy)
-                stage.span.set_attribute(
-                    "records_out", stage.meters[-1].stats.records_out
-                )
-                stage.span.finish_at(elapsed)
-        return sink
-
-    # -- canonical span layout (after threads join) ------------------------
-
-    @staticmethod
-    def _canonicalize_stage(stage: _Stage,
-                            base_lane_times: List[float]) -> None:
-        """Rewrite the stage's bundle span start times deterministically.
-
-        Start times observed live are racy when two bundles charge the same
-        lane concurrently (seqs colliding modulo ``workers``), but each
-        bundle's *duration* is race-free (thread-local advance delta) and
-        the lane a bundle charges is a pure function of its ``seq``.  So
-        the canonical layout is: per lane, bundles in seq order, abutting,
-        starting from the lane's pre-run baseline.
-        """
-        bundles = sorted(
-            (c for c in stage.span.children if c.name == "pipeline.bundle"),
-            key=lambda c: c.attributes.get("seq", 0),
-        )
-        cursors = {}
-        for bundle in bundles:
-            seq = bundle.attributes.get("seq", 0)
-            lane = stage.lane_base + (
-                seq % stage.workers if stage.parallel else 0
-            )
-            start = cursors.get(
-                lane,
-                base_lane_times[lane] if lane < len(base_lane_times) else 0.0,
-            )
-            PipelinedExecutor._relayout_span(bundle, start)
-            cursors[lane] = start + bundle.duration
-
-    @staticmethod
-    def _relayout_span(span, start: float) -> None:
-        """Move ``span`` to ``start`` and lay its children out abutting.
-
-        Durations are preserved exactly; only offsets change.  Operator
-        spans inside a bundle account for all of the bundle's advances, so
-        the abutting layout is exact at the operator level (LLM-call
-        placement within an operator is approximate but deterministic).
-        """
-        duration = span.duration
-        span.start = start
-        span.end = start + duration
-        cursor = start
-        for child in span.children:
-            PipelinedExecutor._relayout_span(child, cursor)
-            cursor += child.duration
+    def _policy(self, plan: PhysicalPlan,
+                downstream: List[OperatorMeter]):
+        return PipelinePolicy(self, downstream)

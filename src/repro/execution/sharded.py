@@ -1,54 +1,32 @@
-"""Sharded scale-out execution: scatter the operator chain over K shards.
+"""The sharded lane policy: scatter the shardable prefix over K lanes.
 
-:class:`ShardedExecutor` partitions the source stream into ``shards``
-deterministic shards (round-robin by arrival index, or size-balanced by
-document tokens) and runs the plan's *shardable prefix* — the maximal run of
-shard-safe operators after the scan (see
-:func:`repro.physical.plan.shard_safe`) — once per shard on a dedicated
-worker thread.  Everything after the prefix (the *suffix*: limits, distinct,
-blocking aggregates, sorts, retrieves, UDF joins, ...) runs post-gather in
-global arrival order, so order-sensitive semantics are untouched.
+:class:`ShardedExecutor` runs the plan's *shardable prefix* — the maximal
+run of shard-safe operators after the scan (see
+:func:`repro.physical.plan.shard_safe`) — on one virtual-clock lane per
+shard, and the rest of the chain (the *suffix*: limits, blocking
+operators, UDF joins, ...) at the gather in global arrival order.  Records,
+per-operator stats, traces and provenance equal the sequential policy's at
+any shard count; only the simulated makespan shrinks.  The lane map:
 
-Equivalence contract (inherited from the pipelined executor and extended
-here): output records, per-operator ``ExecutionStats``, traces, and
-provenance graphs are identical to the sequential executor at any shard
-count.  The mechanisms:
+* **lane 0** — the scan.  Records are scattered round-robin or by
+  size-balancing document tokens, the same pure assignment
+  :func:`repro.core.sources.shard_assignment` computes offline.
+* **lanes 1..K** — shard ``k`` runs its records through the prefix on lane
+  ``1 + k``, ``batch_size`` of its own consecutive records per call.  Once
+  every shard is done, lane 1 closes the prefix; what that flushes (outer
+  joins' unmatched rows) is gathered after every mainline record.
+* **lane K+1** — the gather runs and closes the suffix, synchronizing every
+  lane before a blocking operator flushes.
 
-* **Scatter** — the orchestrator iterates the scan once on lane 0 and routes
-  ``(index, record)`` pairs by the same pure assignment function
-  :func:`repro.core.sources.shard_assignment` uses, so online scatter and
-  offline :func:`repro.core.sources.shard_source` partitioning agree.
-* **Sequence-numbered bundles + reorder buffer** — shard workers emit one
-  ``(index, outputs)`` bundle for *every* input record (empty outputs
-  included), so the gather sees dense global indices and restores exact
-  arrival order before the suffix runs.
-* **Single-writer lanes** — lane 0 is the orchestrator, lanes ``1..K`` each
-  have exactly one shard thread, lane ``K+1`` is the gather.  Every lane has
-  one writer, so live span start times are already deterministic and no
-  post-hoc relayout pass is needed.
-* **Prefix close by last worker out** — the last shard worker to exit closes
-  the prefix operators (outer joins flush unmatched rows here) on lane 1
-  under a dedicated span, and the flushed records become the final bundle,
-  sequenced after every mainline record — exactly where a sequential flush
-  would put them.
-* **Shard-local pre-aggregation** — when the first suffix operator is a
-  decomposable blocking op (``accumulate_seconds`` set: aggregates,
-  group-bys), shard workers pay its per-record fold charge in parallel via
-  :meth:`_PipeMeter.charge_accumulate` and the gather replays only the
-  unmetered state mutation (``accumulate_silent``) in global order — the
-  combined accounting is identical to a sequential fold, but the time
-  parallelizes.
-
-Plans whose ``LimitOp`` can stop the source early fall back to the inline
-sequential path (inherited), because speculative parallelism upstream of
-such a limit would change which records pay for LLM calls.
+When the suffix starts with a decomposable blocking operator
+(``accumulate_seconds`` set: aggregates, group-bys), each shard pays the
+per-record fold charge on its own lane and the gather replays only the
+unmetered state mutation (``accumulate_silent``) in global order, so the
+fold's time parallelizes while its accounting stays sequential-identical.
 """
-
 from __future__ import annotations
 
-import queue
-import threading
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.core.records import DataRecord
 from repro.core.sources import (
@@ -56,12 +34,13 @@ from repro.core.sources import (
     SHARD_ROUND_ROBIN,
     SHARD_STRATEGIES,
 )
-from repro.execution.pipeline import (
-    QUEUE_DEPTH_PER_WORKER,
-    PipelinedExecutor,
-    _Aborted,
-    _Eos,
-    _PipeMeter,
+from repro.execution.executors import (
+    OperatorMeter,
+    SequentialExecutor,
+    close_chain,
+    run_chain,
+    run_chain_grouped,
+    traced_bundle,
 )
 from repro.llm.tokenizer import count_tokens
 from repro.obs.trace import SpanKind
@@ -69,49 +48,201 @@ from repro.physical.context import ExecutionContext
 from repro.physical.plan import PhysicalPlan, shard_safe
 
 
-class _ShardRun:
-    """Mutable state shared by one sharded execution's threads."""
+class ShardPolicy:
+    """Scatter/gather over ``shards`` lanes; see the module docstring."""
 
-    #: ``total`` is writes-only: _close_prefix reads it after every shard
-    #: worker has exited (the last-one-out check is itself locked).
-    _GUARDED_BY = {"exited": "exit_lock", "total": ("exit_lock", "writes")}
+    def __init__(self, executor: "ShardedExecutor",
+                 downstream: List[OperatorMeter], batch_size: int):
+        self.executor = executor
+        self.context = executor.context
+        self.shards = shards = executor.shards
+        self.strategy = executor.strategy
+        self.batch_size = batch_size
+        split = next((i for i, meter in enumerate(downstream)
+                      if not shard_safe(meter.op)), len(downstream))
+        self.prefix, self.suffix = downstream[:split], downstream[split:]
+        head = self.suffix[0] if self.suffix else None
+        #: A decomposable blocking suffix head, pre-aggregated per shard.
+        self.decomp = head if (
+            head is not None and head.op.is_blocking
+            and head.op.accumulate_seconds is not None
+        ) else None
+        self.gather_lane = shards + 1
+        self.context.clock.ensure_lanes(shards + 2)
 
-    __slots__ = (
-        "prefix", "suffix", "decomp_meter", "gather_queue", "close_span",
-        "exit_lock", "exited", "total", "shards",
-    )
+        self.shard_spans: List = [None] * shards
+        self.close_span = None
+        self.gather_span = None
+        tracer = self.context.tracer
+        if tracer.enabled:
+            clock = self.context.clock
+            prefix_ops = "+".join(m.op.op_label for m in self.prefix)
+            prefix_ops = prefix_ops or "<forward>"
+            suffix_ops = "+".join(m.op.op_label for m in self.suffix)
+            for k in range(shards):
+                self.shard_spans[k] = tracer.start_span(
+                    "shard.worker", SpanKind.STAGE, clock=clock,
+                    shard=k, shards=shards, ops=prefix_ops,
+                    strategy=self.strategy,
+                )
+            self.close_span = tracer.start_span(
+                "shard.close", SpanKind.STAGE, clock=clock, ops=prefix_ops,
+            )
+            self.gather_span = tracer.start_span(
+                "shard.gather", SpanKind.STAGE, clock=clock,
+                ops=suffix_ops or "<sink>", shards=shards,
+            )
 
-    def __init__(self, prefix: List[_PipeMeter], suffix: List[_PipeMeter],
-                 decomp_meter: Optional[_PipeMeter],
-                 gather_queue: "queue.Queue", close_span, shards: int):
-        self.prefix = prefix
-        self.suffix = suffix
-        self.decomp_meter = decomp_meter
-        self.gather_queue = gather_queue
-        self.close_span = close_span
-        self.exit_lock = threading.Lock()
-        self.exited = 0
-        self.total = 0  # global record count, learned from the scatter's EOS
-        self.shards = shards
+        self.loads = [0.0] * shards  # balanced strategy: tokens per shard
+        self.per_shard = [0] * shards
+        self.fed = 0
+        #: Per shard, ``(index, record)`` pairs waiting for a full batch.
+        self.batches: List[List[Tuple[int, DataRecord]]] = [
+            [] for _ in range(shards)
+        ]
+        #: Prefix outputs by arrival index, waiting for the gather cursor
+        #: (a shard's batch completes after later records of other shards).
+        self.done: Dict[int, List[DataRecord]] = {}
+        self.gathered = 0
+
+    # -- the policy interface ----------------------------------------------
+
+    def before_pull(self) -> None:
+        self.context.clock.use_lane(0)
+
+    def route(self, record: DataRecord, sink: List[DataRecord]) -> None:
+        if self.strategy == SHARD_BALANCED:
+            # Online greedy argmin by accumulated document tokens — the
+            # same function shard_assignment() computes offline.
+            loads = self.loads
+            shard = min(range(self.shards), key=lambda s: (loads[s], s))
+            loads[shard] += max(
+                0.0, float(count_tokens(record.document_text()))
+            )
+        else:
+            shard = self.fed % self.shards
+        batch = self.batches[shard]
+        batch.append((self.fed, record))
+        self.per_shard[shard] += 1
+        self.fed += 1
+        if len(batch) >= self.batch_size:
+            self._run_shard(shard)
+            self._gather(sink)
+
+    def finish(self, sink: List[DataRecord]) -> None:
+        for shard in range(self.shards):
+            self._run_shard(shard)
+        self._gather(sink)
+        self._close_prefix()
+        self._gather(sink)
+        clock = self.context.clock
+        clock.use_lane(self.gather_lane)
+        with self.context.tracer.attach(self.gather_span):
+            sink.extend(close_chain(self.executor, self.suffix,
+                                    synchronize=True))
+
+        metrics = self.context.metrics
+        metrics.counter("shard.scatter.records").inc(self.fed)
+        elapsed = clock.elapsed
+        for k in range(self.shards):
+            metrics.counter(f"shard.{k}.records").inc(self.per_shard[k])
+            if self.shard_spans[k] is not None:
+                self.shard_spans[k].set_attribute("records",
+                                                  self.per_shard[k])
+                self.shard_spans[k].finish_at(elapsed)
+        if self.close_span is not None:
+            self.close_span.finish_at(elapsed)
+        if self.gather_span is not None:
+            self.gather_span.set_attribute(
+                "records_out",
+                self.suffix[-1].stats.records_out if self.suffix
+                else len(sink),
+            )
+            self.gather_span.finish_at(elapsed)
+
+    # -- shards --------------------------------------------------------------
+
+    def _run_shard(self, shard: int) -> None:
+        """Run a shard's waiting records through the prefix on its lane."""
+        batch = self.batches[shard]
+        if not batch:
+            return
+        self.context.clock.use_lane(1 + shard)
+        with self.context.tracer.attach(self.shard_spans[shard]):
+            groups = self._prefix_groups(batch)
+            self._pre_aggregate(groups)
+        self.done.update(zip((index for index, _ in batch), groups))
+        batch.clear()
+
+    def _prefix_groups(self, batch: List[Tuple[int, DataRecord]]
+                       ) -> List[List[DataRecord]]:
+        """Prefix outputs, one group per input, under ``shard.bundle``
+        spans: one per batch when batching, else one per record."""
+        context = self.context
+        if self.batch_size > 1 and self.prefix:
+            records = [record for _, record in batch]
+            return traced_bundle(context, "shard.bundle", batch[0][0],
+                                 len(records), run_chain_grouped,
+                                 self.prefix, records)
+        return [
+            traced_bundle(context, "shard.bundle", index, 1, run_chain,
+                          self.prefix, [record])
+            for index, record in batch
+        ]
+
+    def _pre_aggregate(self, groups: List[List[DataRecord]]) -> None:
+        """Pay the decomposable suffix head's fold charge on this lane."""
+        if self.decomp is not None:
+            for outputs in groups:
+                for output in outputs:
+                    self.decomp.charge_accumulate(output)
+
+    def _close_prefix(self) -> None:
+        """Close the prefix operators on lane 1, after every shard; their
+        flush is gathered after every mainline record."""
+        self.context.clock.use_lane(1)
+        with self.context.tracer.attach(self.close_span):
+            flushed = close_chain(self.executor, self.prefix,
+                                  synchronize=False)
+            self._pre_aggregate([flushed])
+        self.done[self.fed] = flushed
+
+    # -- gather --------------------------------------------------------------
+
+    def _gather(self, sink: List[DataRecord]) -> None:
+        """Feed finished prefix outputs to the suffix in arrival order."""
+        ready = []
+        while self.gathered in self.done:
+            ready.append(self.done.pop(self.gathered))
+            self.gathered += 1
+        if not self.suffix:  # nothing runs (or charges a lane) at the gather
+            for records in ready:
+                sink.extend(records)
+            return
+        self.context.clock.use_lane(self.gather_lane)
+        with self.context.tracer.attach(self.gather_span):
+            for records in ready:
+                if self.decomp is not None:
+                    # The fold charge was paid shard-locally; replay only
+                    # the state mutation so group order matches sequential.
+                    for record in records:
+                        self.decomp.op.accumulate_silent(record)
+                else:
+                    sink.extend(run_chain(self.suffix, records))
 
 
-class ShardedExecutor(PipelinedExecutor):
+class ShardedExecutor(SequentialExecutor):
     """Scatter/gather execution over deterministic source shards.
 
     Args:
         context: execution context; created with ``shards`` lanes when
             omitted.
         shards: parallelism degree.  ``None`` (default) honors the degree
-            the optimizer stamped onto the plan (``plan.shards``), falling
-            back to 2.
-        strategy: shard assignment strategy — ``"round_robin"`` or
-            ``"balanced"`` (greedy size balancing by document tokens).
-            Either way results are identical; only lane utilization moves.
-        batch_size: records per ``process_batch`` call inside a shard
-            worker; batches are composed of a shard's consecutive records,
-            so the grouping is deterministic.
-        on_event: optional progress callback (same events as the other
-            executors; may fire from worker threads).
+            the optimizer stamped onto the plan, falling back to 2.
+        strategy: ``"round_robin"`` or ``"balanced"`` (by document tokens);
+            results are identical, only lane utilization moves.
+        batch_size: records per ``process_batch`` call on a shard's lane.
+        on_event: optional progress callback.
     """
 
     EXECUTOR_NAME = "sharded"
@@ -127,21 +258,23 @@ class ShardedExecutor(PipelinedExecutor):
                 f"unknown shard strategy {strategy!r}; "
                 f"expected one of {SHARD_STRATEGIES}"
             )
+        if batch_size < 1:
+            raise ValueError(f"batch_size must be >= 1, got {batch_size}")
         degree = shards or 2
-        super().__init__(
-            context=context or ExecutionContext(max_workers=degree),
-            max_workers=degree, batch_size=batch_size, on_event=on_event,
-        )
+        super().__init__(context or ExecutionContext(max_workers=degree),
+                         on_event=on_event)
         self._requested_shards = shards
         self.shards = degree
         self.strategy = strategy
+        self.batch_size = batch_size
 
     def execute(self, plan: PhysicalPlan):
+        # Honor the degree and batch size the optimizer stamped onto the
+        # plan when the caller did not pick them explicitly.
         if self._requested_shards is None and getattr(plan, "shards", 1) > 1:
-            # Honor the degree the optimizer stamped onto the plan when the
-            # caller did not pick one explicitly (mirrors batch_size).
             self.shards = plan.shards
-        self.max_workers = self.shards
+        if self.batch_size == 1 and getattr(plan, "batch_size", 1) > 1:
+            self.batch_size = plan.batch_size
         return super().execute(plan)
 
     def _plan_span_attrs(self) -> dict:
@@ -151,347 +284,31 @@ class ShardedExecutor(PipelinedExecutor):
             "strategy": self.strategy,
         }
 
-    def _execute_concurrent(self, plan: PhysicalPlan,
-                            meters: List[_PipeMeter]) -> List[DataRecord]:
-        return self._execute_sharded(plan, meters)
+    def _policy(self, plan: PhysicalPlan,
+                downstream: List[OperatorMeter]):
+        return ShardPolicy(self, downstream, self.batch_size)
 
-    # -- plan segmentation -------------------------------------------------
 
-    @staticmethod
-    def _split(
-        meters: List[_PipeMeter],
-    ) -> Tuple[List[_PipeMeter], List[_PipeMeter]]:
-        """Split downstream meters into shardable prefix and global suffix."""
-        prefix: List[_PipeMeter] = []
-        for index, meter in enumerate(meters):
-            if not shard_safe(meter.op):
-                return prefix, meters[index:]
-            prefix.append(meter)
-        return prefix, []
+class AsyncExecutor(ShardedExecutor):
+    """Round-robin sharding with per-record calls: record ``i`` is charged
+    to lane ``1 + i % fanout``, so lane map and makespan are those of
+    :class:`ShardedExecutor` at ``fanout`` shards.  ``fanout=None`` honors
+    the plan's optimizer-stamped degree; ``batch_size`` is accepted for
+    interface symmetry and ignored.
+    """
 
-    @staticmethod
-    def _decomposable_head(
-        suffix: List[_PipeMeter],
-    ) -> Optional[_PipeMeter]:
-        """The first suffix op, if its fold can be paid shard-locally."""
-        if not suffix:
-            return None
-        head = suffix[0]
-        if head.op.is_blocking and head.op.accumulate_seconds is not None:
-            return head
-        return None
+    EXECUTOR_NAME = "async"
 
-    # -- the scatter/gather run --------------------------------------------
+    def __init__(self, context: Optional[ExecutionContext] = None,
+                 fanout: Optional[int] = None, batch_size: int = 1,
+                 on_event=None):
+        super().__init__(context=context, shards=fanout,
+                         strategy=SHARD_ROUND_ROBIN, on_event=on_event)
 
-    def _execute_sharded(self, plan: PhysicalPlan,
-                         meters: List[_PipeMeter]) -> List[DataRecord]:
-        scan_meter = meters[0]
-        prefix, suffix = self._split(meters[1:])
-        clock = self.context.clock
-        tracer = self.context.tracer
-        metrics = self.context.metrics
-        shards = self.shards
-        # Lane map: 0 = orchestrator (scan parses), 1..shards = one
-        # dedicated thread per shard, shards+1 = gather/suffix.
-        gather_lane = shards + 1
-        clock.ensure_lanes(shards + 2)
+    @property
+    def fanout(self) -> int:
+        return self.shards
 
-        shard_spans: List = [None] * shards
-        close_span = None
-        gather_span = None
-        if tracer.enabled:
-            prefix_ops = "+".join(m.op.op_label for m in prefix) or "<forward>"
-            suffix_ops = "+".join(m.op.op_label for m in suffix) or "<sink>"
-            # Created on the orchestrator (under plan.run) so worker threads
-            # can attach before any bundle flows; creation order fixes the
-            # child order in the trace.
-            for k in range(shards):
-                shard_spans[k] = tracer.start_span(
-                    "shard.worker", SpanKind.STAGE, clock=clock,
-                    shard=k, shards=shards, ops=prefix_ops,
-                    strategy=self.strategy,
-                )
-            close_span = tracer.start_span(
-                "shard.close", SpanKind.STAGE, clock=clock, ops=prefix_ops,
-            )
-            gather_span = tracer.start_span(
-                "shard.gather", SpanKind.STAGE, clock=clock, ops=suffix_ops,
-                shards=shards,
-            )
-
-        depth = max(2, QUEUE_DEPTH_PER_WORKER * max(1, self.batch_size))
-        shard_queues = [queue.Queue(maxsize=depth) for _ in range(shards)]
-        gather_queue: "queue.Queue" = queue.Queue(
-            maxsize=max(4, depth * shards)
-        )
-        run = _ShardRun(
-            prefix, suffix, self._decomposable_head(suffix),
-            gather_queue, close_span, shards,
-        )
-
-        sink: List[DataRecord] = []
-        threads: List[threading.Thread] = []
-        for k in range(shards):
-            thread = threading.Thread(
-                target=self._shard_worker,
-                args=(run, k, shard_queues[k], shard_spans[k]),
-                name=f"shard-w{k}", daemon=True,
-            )
-            thread.start()
-            threads.append(thread)
-        gather_thread = threading.Thread(
-            target=self._gather_worker, args=(run, sink, gather_span),
-            name="shard-gather", daemon=True,
-        )
-        gather_thread.start()
-        threads.append(gather_thread)
-
-        # Orchestrator: pull the scan on lane 0 and scatter by assignment.
-        loads = [0.0] * shards
-        per_shard = [0] * shards
-        clock.use_lane(0)
-        fed = 0
-        try:
-            for record in self._traced_scan(plan, scan_meter):
-                if self.strategy == SHARD_BALANCED:
-                    # Online greedy argmin by accumulated document tokens —
-                    # the same function shard_assignment() computes offline.
-                    shard = min(range(shards), key=lambda s: (loads[s], s))
-                    loads[shard] += max(
-                        0.0, float(count_tokens(record.document_text()))
-                    )
-                else:
-                    shard = fed % shards
-                self._put(shard_queues[shard], (fed, record))
-                per_shard[shard] += 1
-                fed += 1
-                self._emit({
-                    "type": "record_processed",
-                    "index": scan_meter.stats.records_in,
-                    "outputs_so_far": len(sink),
-                    "elapsed_seconds": clock.elapsed,
-                })
-            for shard_queue in shard_queues:
-                self._put(shard_queue, _Eos(fed))
-        except _Aborted:
-            pass
-        except BaseException as exc:  # noqa: BLE001 - reported below
-            self._fail(exc)
-
-        for thread in threads:
-            thread.join()
-        if self._errors:
-            raise self._errors[0]
-
-        metrics.counter("shard.scatter.records").inc(fed)
-        elapsed = clock.elapsed
-        for k in range(shards):
-            metrics.counter(f"shard.{k}.records").inc(per_shard[k])
-            if shard_spans[k] is not None:
-                shard_spans[k].set_attribute("records", per_shard[k])
-                shard_spans[k].finish_at(elapsed)
-        if close_span is not None:
-            close_span.finish_at(elapsed)
-        if gather_span is not None:
-            gather_span.set_attribute(
-                "records_out",
-                suffix[-1].stats.records_out if suffix else len(sink),
-            )
-            gather_span.finish_at(elapsed)
-        return sink
-
-    # -- shard workers -----------------------------------------------------
-
-    def _shard_worker(self, run: _ShardRun, shard: int,
-                      in_queue: "queue.Queue", span) -> None:
-        clock = self.context.clock
-        clock.use_lane(1 + shard)
-        batch: List[Tuple[int, DataRecord]] = []
-        try:
-            with self.context.tracer.attach(span):
-                while True:
-                    item = self._get(in_queue)
-                    if isinstance(item, _Eos):
-                        self._flush_shard_batch(run, batch)
-                        with run.exit_lock:
-                            run.exited += 1
-                            run.total = item.count
-                            last_out = run.exited == run.shards
-                        if last_out:
-                            self._close_prefix(run)
-                        return
-                    batch.append(item)
-                    if len(batch) >= self.batch_size:
-                        self._flush_shard_batch(run, batch)
-        except _Aborted:
-            pass
-        except BaseException as exc:  # noqa: BLE001 - reported to caller
-            self._fail(exc)
-
-    def _flush_shard_batch(self, run: _ShardRun,
-                           batch: List[Tuple[int, DataRecord]]) -> None:
-        """Process buffered records through the prefix; emit one bundle per
-        input record so the gather's reorder buffer sees dense indices."""
-        if not batch:
-            return
-        indices = [index for index, _ in batch]
-        records = [record for _, record in batch]
-        groups = self._shard_chain(run.prefix, indices, records)
-        for index, outputs in zip(indices, groups):
-            if run.decomp_meter is not None:
-                for output in outputs:
-                    run.decomp_meter.charge_accumulate(output)
-            self._put(run.gather_queue, (index, outputs))
-        batch.clear()
-
-    def _shard_chain(self, prefix: List[_PipeMeter], indices: List[int],
-                     records: List[DataRecord]) -> List[List[DataRecord]]:
-        """Run records through the prefix, one output group per input."""
-        tracer = self.context.tracer
-        clock = self.context.clock
-        if self.batch_size > 1 and prefix:
-            if tracer.enabled:
-                with tracer.span(
-                    "shard.bundle", SpanKind.BUNDLE, clock=clock,
-                    seq=indices[0], records=len(records),
-                ) as span:
-                    advanced_before = clock.local_advanced
-                    groups = self._run_chain_batched_grouped(prefix, records)
-                    span.finish_at(
-                        span.start + (clock.local_advanced - advanced_before)
-                    )
-                return groups
-            return self._run_chain_batched_grouped(prefix, records)
-        groups: List[List[DataRecord]] = []
-        for index, record in zip(indices, records):
-            if tracer.enabled:
-                with tracer.span(
-                    "shard.bundle", SpanKind.BUNDLE, clock=clock,
-                    seq=index, records=1,
-                ) as span:
-                    advanced_before = clock.local_advanced
-                    outputs = self._run_chain(prefix, [record])
-                    span.finish_at(
-                        span.start + (clock.local_advanced - advanced_before)
-                    )
-            else:
-                outputs = self._run_chain(prefix, [record])
-            groups.append(outputs)
-        return groups
-
-    @staticmethod
-    def _run_chain_batched_grouped(
-        meters: List[_PipeMeter], records: Sequence[DataRecord]
-    ) -> List[List[DataRecord]]:
-        """Layer-batched processing that preserves per-input grouping."""
-        groups: List[List[DataRecord]] = [[record] for record in records]
-        for meter in meters:
-            flat = [record for group in groups for record in group]
-            if not flat:
-                break
-            batched = meter.process_batch(flat)
-            regrouped: List[List[DataRecord]] = []
-            cursor = 0
-            for group in groups:
-                merged: List[DataRecord] = []
-                for _ in group:
-                    merged.extend(batched[cursor])
-                    cursor += 1
-                regrouped.append(merged)
-            groups = regrouped
-        return groups
-
-    def _close_prefix(self, run: _ShardRun) -> None:
-        """Last shard worker out: close prefix ops and emit the final bundle.
-
-        Runs on lane 1 (deterministic: every worker has stopped charging by
-        now) under a dedicated span, so the trace layout does not depend on
-        which thread happened to exit last.  Flushed records (outer joins'
-        unmatched rows) get the sequence number after every mainline record —
-        the same position a sequential flush gives them.
-        """
-        self.context.clock.use_lane(1)
-        flushed_out: List[DataRecord] = []
-        with self.context.tracer.attach(run.close_span):
-            for index, meter in enumerate(run.prefix):
-                flushed = meter.close()
-                flushed_out.extend(
-                    self._run_chain(run.prefix[index + 1:], flushed)
-                )
-            if run.decomp_meter is not None:
-                for output in flushed_out:
-                    run.decomp_meter.charge_accumulate(output)
-        self._put(run.gather_queue, (run.total, flushed_out))
-        self._put(run.gather_queue, _Eos(run.total + 1))
-
-    # -- gather ------------------------------------------------------------
-
-    def _gather_worker(self, run: _ShardRun, sink: List[DataRecord],
-                       span) -> None:
-        clock = self.context.clock
-        clock.use_lane(run.shards + 1)
-        buffer: dict = {}
-        next_seq = 0
-        try:
-            with self.context.tracer.attach(span):
-                while True:
-                    item = self._get(run.gather_queue)
-                    if isinstance(item, _Eos):
-                        # EOS is enqueued by the closing worker after every
-                        # shard stopped putting, so the buffer now holds all
-                        # outstanding bundles; drain strictly in order.
-                        for seq in sorted(buffer):
-                            assert seq == next_seq, "sequence gap at gather"
-                            self._gather_feed(
-                                buffer[seq], sink, run.suffix,
-                                run.decomp_meter,
-                            )
-                            next_seq += 1
-                        buffer.clear()
-                        self._gather_close(sink, run.suffix)
-                        return
-                    seq, records = item
-                    buffer[seq] = records
-                    while next_seq in buffer:
-                        self._gather_feed(
-                            buffer.pop(next_seq), sink, run.suffix,
-                            run.decomp_meter,
-                        )
-                        next_seq += 1
-        except _Aborted:
-            pass
-        except BaseException as exc:  # noqa: BLE001 - reported to caller
-            self._fail(exc)
-
-    def _gather_feed(self, records: Sequence[DataRecord],
-                     sink: List[DataRecord], suffix: List[_PipeMeter],
-                     decomp_meter: Optional[_PipeMeter]) -> None:
-        """Stream one bundle (already in global order) into the suffix."""
-        if not records:
-            return
-        if decomp_meter is not None:
-            # The fold charge was paid shard-locally; replay only the state
-            # mutation here so group/parent order matches sequential.
-            for record in records:
-                decomp_meter.op.accumulate_silent(record)
-            return
-        if not suffix:
-            sink.extend(records)
-            return
-        sink.extend(self._run_chain(suffix, records))
-
-    def _gather_close(self, sink: List[DataRecord],
-                      suffix: List[_PipeMeter]) -> None:
-        """Close suffix ops in order, like the sequential flush."""
-        for index, meter in enumerate(suffix):
-            if meter.op.is_blocking:
-                # Model every lane arriving at the barrier.
-                self.context.clock.synchronize()
-            flushed = meter.close()
-            if flushed and meter.op.is_blocking:
-                self._emit({
-                    "type": "operator_flush",
-                    "operator": meter.op.op_label,
-                    "records": len(flushed),
-                })
-            sink.extend(self._run_chain(suffix[index + 1:], flushed))
+    def _policy(self, plan: PhysicalPlan,
+                downstream: List[OperatorMeter]):
+        return ShardPolicy(self, downstream, batch_size=1)

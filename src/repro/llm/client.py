@@ -96,26 +96,6 @@ class LLMClient:
     def complete(self, request: CompletionRequest) -> LLMResponse:
         raise NotImplementedError
 
-    # -- coroutine API ---------------------------------------------------
-    #
-    # Awaitable twins for the async executor.  The simulated client answers
-    # from a virtual clock, so these complete without ever suspending: the
-    # whole call — clock advance, ledger entry, trace span — happens
-    # atomically on the awaiting task's thread.  That invariant is what lets
-    # thread-local clock-lane and ledger-capture attribution stay correct
-    # when many asyncio tasks interleave on one event-loop thread.  A real
-    # network client would override these with true awaits and would then
-    # need context-local attribution instead.
-
-    async def ajudge(self, request: BooleanRequest) -> LLMResponse:
-        return self.judge(request)
-
-    async def aextract(self, request: ExtractionRequest) -> LLMResponse:
-        return self.extract(request)
-
-    async def acomplete(self, request: CompletionRequest) -> LLMResponse:
-        return self.complete(request)
-
 
 class SimulatedLLMClient(LLMClient):
     """Deterministic offline LLM client.

@@ -7,12 +7,11 @@ hours.  Instead every component that "takes time" advances a shared
 model `max_workers` concurrent LLM calls: each lane accumulates time
 independently and the elapsed time of the whole execution is the maximum lane.
 
-Thread-safety contract: the clock may be shared by real worker threads (the
-pipelined executor runs one OS thread per stage worker).  The *current lane*
-selection is therefore thread-local — each thread advances its own lane
-without seeing other threads' selections — and every mutation of the lane
-table happens under a lock.  Single-threaded callers observe exactly the
-pre-threading behavior (one implicit thread, lane 0 by default).
+Executors run single-threaded and select lanes with :meth:`use_lane` /
+:meth:`pick_least_busy_lane`.  The clock stays safe to share across
+threads anyway: the *current lane* selection is thread-local — each thread
+advances its own lane without seeing other threads' selections — and every
+mutation of the lane table happens under a lock.
 """
 
 from __future__ import annotations
@@ -35,6 +34,9 @@ class VirtualClock:
         if lanes < 1:
             raise ValueError(f"lanes must be >= 1, got {lanes}")
         self._lane_times = [0.0] * lanes
+        #: ``len(_lane_times)``; the table only grows (in ensure_lanes), so
+        #: lane selection can bounds-check without taking the lock.
+        self._lane_count = lanes
         self._lock = threading.RLock()
         self._local = threading.local()
 
@@ -55,8 +57,7 @@ class VirtualClock:
 
     @property
     def lanes(self) -> int:
-        with self._lock:
-            return len(self._lane_times)
+        return self._lane_count
 
     def lane_time(self, lane: int) -> float:
         """Local time accumulated by ``lane``, in seconds."""
@@ -94,8 +95,8 @@ class VirtualClock:
         charged to the same lane can move), this is a per-thread monotonic
         accumulator — so a delta of ``local_advanced`` around a block of
         work measures exactly that thread's own charges, deterministically
-        under any interleaving.  The pipelined executor meters per-operator
-        time (and span durations) with it.
+        under any interleaving.  The executors meter per-operator time (and
+        span durations) with it, whichever lane each charge went to.
         """
         return getattr(self._local, "advanced", 0.0)
 
@@ -123,12 +124,11 @@ class VirtualClock:
 
     def use_lane(self, lane: int) -> None:
         """Bind the calling thread to ``lane`` for subsequent advances."""
-        with self._lock:
-            if not 0 <= lane < len(self._lane_times):
-                raise IndexError(
-                    f"lane {lane} out of range [0, {len(self._lane_times)})"
-                )
-            self._current_lane = lane
+        if not 0 <= lane < self._lane_count:
+            raise IndexError(
+                f"lane {lane} out of range [0, {self._lane_count})"
+            )
+        self._local.lane = lane
 
     def ensure_lanes(self, lanes: int) -> None:
         """Grow the lane table to at least ``lanes`` entries.
@@ -141,6 +141,7 @@ class VirtualClock:
             missing = lanes - len(self._lane_times)
             if missing > 0:
                 self._lane_times.extend([0.0] * missing)
+                self._lane_count = len(self._lane_times)
 
     def synchronize(self) -> float:
         """Barrier: set every lane to the makespan and return it.

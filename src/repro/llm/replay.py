@@ -87,9 +87,9 @@ def _normalize_value(value: Any) -> Any:
 class ReplayLog:
     """Thread-safe LLM call log (see module docstring).
 
-    The primed entry table is frozen at construction and read lock-free by
-    executor worker threads (single dict lookups of immutable records);
-    capture and reuse tallies are compound mutations and take the lock.
+    The primed entry table is frozen at construction and read lock-free
+    (single dict lookups of immutable records); capture and reuse tallies
+    are compound mutations and take the lock.
     """
 
     _GUARDED_BY = {
@@ -98,8 +98,8 @@ class ReplayLog:
     }
 
     def __init__(self, entries: Optional[Dict[ReplayKey, CallRecord]] = None):
-        #: Frozen after construction — never mutated, so worker threads
-        #: read it without locking.
+        #: Frozen after construction — never mutated, so readers need no
+        #: lock.
         self._entries: Dict[ReplayKey, CallRecord] = dict(entries or {})
         self._captured: Dict[ReplayKey, CallRecord] = {}
         #: (sortable key string, cost, seconds, in_tokens, out_tokens) per

@@ -281,12 +281,11 @@ class UsageLedger:
     the final :class:`~repro.execution.stats.ExecutionStats` summarizes it.
 
     Thread-safety contract: :meth:`record` may be called concurrently from
-    real worker threads; the record list is guarded by a lock.  To attribute
-    records to the operator call that caused them — which the single-threaded
-    executors do by slicing the ledger before/after a call, a technique that
-    breaks under interleaving — a thread can wrap a call in :meth:`capture`:
-    records produced *by that thread* inside the block are additionally
-    appended to the capture list.
+    several threads; the record list is guarded by a lock.  To attribute
+    records to the operator call that caused them, the executors wrap each
+    call in :meth:`capture`: records produced *by the calling thread*
+    inside the block are additionally appended to the capture list, so
+    metering costs O(new records) rather than a copy of the ledger.
     """
 
     _GUARDED_BY = {"_records": "_lock"}
@@ -336,7 +335,9 @@ class UsageLedger:
         try:
             yield bucket
         finally:
-            captures.remove(bucket)
+            # Captures nest like the blocks that open them, so this bucket
+            # is the innermost; ``remove`` would match an equal outer list.
+            captures.pop()
 
     @property
     def records(self) -> List[LLMUsage]:

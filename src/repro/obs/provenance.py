@@ -10,9 +10,9 @@ context:
   from the :class:`DropReason` enum and the evidence (judge verdict,
   limit position, similarity score, ...).
 
-Like traces (``repro.obs.trace``), the raw event log is
-interleaving-dependent under the pipelined executor — worker threads
-race, and ``DataRecord._record_id`` values depend on allocation order.
+Like traces (``repro.obs.trace``), the raw event log depends on the
+executor — each lane policy processes records in its own order, and
+``DataRecord._record_id`` values depend on allocation order.
 A **canonical finalization pass** fixes both: roots are ordered by
 (origin, arrival), then each operator's events are sorted by their
 (already-canonical) parent ids, and canonical ids are assigned in that

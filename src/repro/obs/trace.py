@@ -114,8 +114,7 @@ class Span:
 
 def _canonical_order(children: List[Span]) -> List[Span]:
     """Deterministic sibling order: by ``seq`` attribute where present
-    (pipeline bundles are appended by racing worker threads), otherwise
-    stable append order (single-threaded sections are already ordered)."""
+    (pipeline and shard bundles), otherwise stable append order."""
     return sorted(
         children,
         key=lambda span: _seq_key(span.attributes.get("seq")),

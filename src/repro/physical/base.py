@@ -112,17 +112,6 @@ class PhysicalOperator:
     def process(self, record: DataRecord) -> List[DataRecord]:
         raise NotImplementedError
 
-    async def aprocess(self, record: DataRecord) -> List[DataRecord]:
-        """Asynchronous twin of :meth:`process` for the async executor.
-
-        Contract: identical outputs, clock charges, and ledger entries as
-        :meth:`process`.  The default simply delegates; LLM-bound operators
-        override it to await the client's coroutine API.  Overrides must
-        never suspend mid-record — the executor relies on each record's
-        accounting being atomic on the event-loop thread.
-        """
-        return self.process(record)
-
     def process_batch(
         self, records: Sequence[DataRecord]
     ) -> List[List[DataRecord]]:

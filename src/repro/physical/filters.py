@@ -127,12 +127,6 @@ class LLMFilter(PhysicalOperator):
         self._record_verdict(record, response)
         return [record] if response.value else []
 
-    async def aprocess(self, record: DataRecord) -> List[DataRecord]:
-        assert self._client is not None, "operator not opened"
-        response = await self._client.ajudge(self._request_for(record))
-        self._record_verdict(record, response)
-        return [record] if response.value else []
-
     def process_batch(
         self, records: Sequence[DataRecord]
     ) -> List[List[DataRecord]]:

@@ -49,8 +49,8 @@ class RetrieveOp(BlockingPhysicalOperator):
         score = cosine_similarity(self._query_vector, vector)
         # Arrival index breaks score ties deterministically.  (Not the
         # global record_id: ids are assigned at derive time, so their order
-        # depends on thread interleaving under the pipelined executor,
-        # while arrival order at a barrier is the same for every executor.)
+        # depends on each executor's processing order, while arrival order
+        # at a barrier is the same for every executor.)
         self._scored.append((score, len(self._scored), record))
 
     def close(self) -> List[DataRecord]:

@@ -10,7 +10,6 @@ must *shrink* as the shardable prefix fans out.
 
 from __future__ import annotations
 
-import asyncio
 import sys
 
 import pytest
@@ -29,15 +28,10 @@ from repro.core.sources import (
     shard_assignment,
     shard_source,
 )
-from repro.execution.asyncexec import AsyncExecutor
 from repro.execution.execute import Execute
 from repro.execution.executors import SequentialExecutor
-from repro.execution.sharded import ShardedExecutor
-from repro.llm.client import BooleanRequest, SimulatedLLMClient
-from repro.llm.clock import VirtualClock
-from repro.llm.models import get_model
+from repro.execution.sharded import AsyncExecutor, ShardedExecutor
 from repro.llm.oracle import DocumentTruth, global_oracle
-from repro.llm.usage import UsageLedger
 from repro.obs.provenance import ProvenanceRecorder
 from repro.obs.trace import Tracer
 from repro.optimizer.optimizer import Optimizer
@@ -333,62 +327,6 @@ class TestScaleOutEquivalence:
         for _ in range(5):
             records, stats, _ = run_scaled(plan, "sharded", 8, batch=2)
             assert run_fingerprint(records, stats) == baseline
-
-
-# ----------------------------------------------------------------------
-# The coroutine client API.
-# ----------------------------------------------------------------------
-
-class TestAsyncClient:
-    def test_ajudge_matches_judge(self):
-        text = "An async note about colorectal cancer screening."
-        global_oracle().register(
-            text,
-            DocumentTruth(
-                predicates={"about cancer": True}, difficulty=0.0
-            ),
-        )
-        request = BooleanRequest(
-            predicate="about cancer", document=text, operation="filter"
-        )
-
-        def client():
-            return SimulatedLLMClient(
-                get_model("gpt-4o-mini"), clock=VirtualClock(lanes=1),
-                ledger=UsageLedger(), oracle=global_oracle(),
-            )
-
-        sync_client = client()
-        sync_response = sync_client.judge(request)
-        async_client = client()
-        async_response = asyncio.run(async_client.ajudge(request))
-        assert async_response.value == sync_response.value
-        assert async_response.text == sync_response.text
-        assert (
-            async_client.ledger.total().cost_usd
-            == sync_client.ledger.total().cost_usd
-        )
-
-    def test_coroutines_never_suspend(self):
-        """The no-suspend invariant the async executor's attribution
-        rests on: a client coroutine must complete on its first step."""
-        text = "A note about colorectal cancer for the suspend check."
-        global_oracle().register(
-            text,
-            DocumentTruth(
-                predicates={"about cancer": True}, difficulty=0.0
-            ),
-        )
-        client = SimulatedLLMClient(
-            get_model("gpt-4o-mini"), clock=VirtualClock(lanes=1),
-            ledger=UsageLedger(), oracle=global_oracle(),
-        )
-        coroutine = client.ajudge(BooleanRequest(
-            predicate="about cancer", document=text, operation="filter"
-        ))
-        with pytest.raises(StopIteration) as stop:
-            coroutine.send(None)
-        assert stop.value.value.value is True
 
 
 # ----------------------------------------------------------------------

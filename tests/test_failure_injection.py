@@ -131,3 +131,32 @@ class TestDegenerateInputs:
         # No text: the heuristic finds no match; record is dropped, not
         # crashed on.
         assert isinstance(records, list)
+
+
+class TestQuotaCheckpointEveryExecutor:
+    """A shared budget another run already breached aborts this run
+    before it spends anything, whichever executor runs it."""
+
+    @pytest.mark.parametrize("executor,options", [
+        ("sequential", {}),
+        ("parallel", {"max_workers": 4}),
+        ("pipelined", {"max_workers": 4}),
+        ("sharded", {"shards": 4}),
+        ("async", {"shards": 4}),
+    ])
+    def test_pre_breached_budget_aborts_with_zero_calls(self, executor,
+                                                        options):
+        from repro.corpora.scale import SCALE_PREDICATE, generate_scale_source
+        from repro.llm.usage import BudgetMeter, QuotaExceededError
+
+        source = generate_scale_source(40, dataset_id="quota-checkpoint")
+        dataset = pz.Dataset(source).filter(SCALE_PREDICATE)
+        budget = BudgetMeter(max_cost_usd=0.01)
+        budget.charge_totals(cost_usd=0.02, tokens=0)  # a concurrent run
+        assert budget.exceeded()
+        with pytest.raises(QuotaExceededError, match="checkpoint"):
+            pz.Execute(dataset, executor=executor, budget=budget,
+                       include_embedding_filter=False, **options)
+        # Every ledger record charges the shared budget.
+        assert budget.calls == 0
+        assert budget.spent_cost_usd == pytest.approx(0.02)

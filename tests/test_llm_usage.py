@@ -97,6 +97,18 @@ class TestUsageLedger:
         ledger.extend([usage(), usage()])
         assert len(ledger) == 2
 
+    def test_nested_captures_unwind_by_identity(self):
+        # An executor meters a join whose open() runs a nested executor on
+        # the same ledger: the inner capture closes while both buckets are
+        # still equal (empty), and must not take the outer one with it.
+        ledger = UsageLedger()
+        with ledger.capture() as outer:
+            with ledger.capture() as inner:
+                pass
+            ledger.record(usage())
+        assert len(outer) == 1
+        assert inner == []
+
 
 class TestVirtualTimestamps:
     def test_timestamps_monotone_within_a_sequential_run(self):

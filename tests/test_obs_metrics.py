@@ -93,16 +93,13 @@ class TestRegistry:
         with pytest.raises(TypeError):
             registry.gauge("a.b")
 
-    def test_snapshot_sorted_and_excludes_best_effort(self):
+    def test_snapshot_sorted(self):
         registry = MetricsRegistry()
         registry.counter("z.last").inc(1)
         registry.gauge("a.first").set(2.5)
-        registry.counter("q.racy", best_effort=True).inc(9)
         snap = registry.snapshot()
         assert list(snap) == ["a.first", "z.last"]
         assert snap == {"a.first": 2.5, "z.last": 1}
-        full = registry.snapshot(include_best_effort=True)
-        assert full["q.racy"] == 9
 
     def test_clear(self):
         registry = MetricsRegistry()
@@ -129,13 +126,6 @@ class TestExecutionMetrics:
             assert metrics[f"{prefix}.llm_calls"] == op.llm_calls
             assert metrics[f"{prefix}.busy_seconds"] == pytest.approx(
                 op.time_seconds)
-
-    def test_best_effort_queue_metrics_not_in_stats(self):
-        source = make_source(6, "metrics-queue")
-        _, stats = Execute(shape_filter_convert(source), lint=False,
-                           executor="pipelined", max_workers=2)
-        assert not any("queue_depth" in name for name in stats.metrics)
-        assert not any("poll_retries" in name for name in stats.metrics)
 
 
 class TestCacheCountersOnStats:

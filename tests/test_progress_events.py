@@ -224,3 +224,39 @@ class TestSpanTailTruncation:
         ]}
         events = progress_events_from_trace(trace)
         assert [e["name"] for e in events] == ["op.process"]
+
+
+class TestEventsForEveryExecutor:
+    """``Execute(on_event=...)`` streams the same progress under every
+    executor: the event sequence equals the sequential one, apart from
+    the simulated elapsed time each policy reaches (and the last ulp of
+    the cost, which the ledger sums in virtual-timestamp order)."""
+
+    @staticmethod
+    def _events(dataset, executor, **options):
+        events = []
+        pz.Execute(dataset, executor=executor, on_event=events.append,
+                   include_embedding_filter=False, **options)
+        for event in events:
+            event.pop("elapsed_seconds", None)
+            if "cost_usd" in event:
+                event["cost_usd"] = round(event["cost_usd"], 9)
+        return events
+
+    @pytest.mark.parametrize("blocking", [False, True],
+                             ids=["streaming", "blocking"])
+    @pytest.mark.parametrize("executor,options", [
+        ("pipelined", {"max_workers": 4}),
+        ("sharded", {"shards": 4}),
+        ("async", {"shards": 4}),
+    ])
+    def test_sequence_matches_sequential(self, executor, options, blocking):
+        from repro.corpora.scale import SCALE_PREDICATE, generate_scale_source
+
+        source = generate_scale_source(12, dataset_id="ev-every")
+        dataset = pz.Dataset(source).filter(SCALE_PREDICATE)
+        if blocking:
+            dataset = dataset.count()
+        baseline = self._events(dataset, "sequential")
+        assert [e["type"] for e in baseline].count("record_processed") == 12
+        assert self._events(dataset, executor, **options) == baseline
